@@ -45,8 +45,6 @@ from .run import (
 from .teacher import (
     TeacherState,
     candidate_set,
-    class_gap,
-    covariance,
     gap_matrix,
     make_teacher,
     reliability_term,
@@ -81,10 +79,8 @@ __all__ = [
     "assemble",
     "bcd_solve",
     "candidate_set",
-    "class_gap",
     "commute_table",
     "commute_time",
-    "covariance",
     "dump_edges",
     "evaluate",
     "extract_curriculum",

@@ -69,12 +69,22 @@ def knn_pattern(features: np.ndarray, k: int) -> np.ndarray:
 
 
 def gaussian_weights(pattern: np.ndarray, features: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian kernel weights exp(-||xi-xj||^2 / (2 sigma^2)) on pattern edges."""
+    """Gaussian kernel weights exp(-||xi-xj||^2 / (2 sigma^2)) on pattern edges.
+
+    Fails when sigma is so small that all of some node's edge weights underflow to 0.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     sq = squared_distances(features)
     weights = np.where(pattern, np.exp(-sq / (2.0 * sigma**2)), 0.0)
     np.fill_diagonal(weights, 0.0)
+    lost = pattern.any(axis=1) & ~weights.any(axis=1)
+    if lost.any():
+        node = int(np.argmax(lost))
+        raise ValueError(
+            f"sigma={sigma} is too small: every edge weight of node {node} underflows to 0 "
+            f"(nearest squared distance {sq[node, pattern[node]].min():.4g}); "
+            "raise --sigma or rescale the features")
     return weights
 
 

@@ -124,10 +124,9 @@ def _build_graphs(features, kernels, config):
 
 def _classes_so_far(masked, learned, scores, class_count):
     """Current per-class membership: given labels plus learned argmaxes."""
-    groups = {c: list(np.flatnonzero(masked == c)) for c in range(class_count)}
-    for i in learned:
-        groups[int(np.argmax(scores[i]))].append(int(i))
-    return {c: np.sort(np.asarray(group, dtype=int)) for c, group in groups.items()}
+    owner = masked.copy()
+    owner[learned] = np.argmax(scores[learned], axis=1)
+    return {c: np.flatnonzero(owner == c) for c in range(class_count)}
 
 
 def _parse_variant(variant, kernels):
@@ -178,10 +177,8 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
         pool = candidates.size
         if teaching:
             want = initial_size(pool, config.gamma) if feedback is None else next_size(pool, feedback)
-            r_list = [
-                teaching_matrix(teacher, candidates, _classes_so_far(masked, learned, scores, c))
-                for teacher in teachers
-            ]
+            by_class = _classes_so_far(masked, learned, scores, c)
+            r_list = [teaching_matrix(teacher, candidates, by_class) for teacher in teachers]
             solution = bcd_solve(
                 r_list,
                 beta0,

@@ -6,6 +6,11 @@ under a Gaussian process on the graph, given the labeled examples) and
 discriminability (a large gap between the candidate's average commute times
 to its two closest labeled classes).  Both are rolled into one symmetric
 score matrix over the current candidate pool.
+
+Reliability comes from the GP prior precision Q = Laplacian + I / kappa2:
+given the anchored nodes, the candidates' conditional covariance is their
+block of (Q_RR)^-1, R being the nodes not yet anchored (Rue & Held, *Gaussian
+Markov Random Fields*, 2005, ch. 2), so no dense covariance is formed.
 """
 
 from __future__ import annotations
@@ -21,39 +26,30 @@ from .graph import LearnerGraph, commute_table
 # simply non-discriminable, so its gap is floored at a small positive value.
 GAP_FLOOR = 1e-8
 
-# Jitter Sigma_LL only when it is this badly conditioned.
-COND_LIMIT = 1e12
-
 
 @dataclass(frozen=True)
 class TeacherState:
-    """Precomputed per-teacher quantities, fixed for a whole run.
+    """Per-teacher quantities, fixed for a whole run.
 
-    ``covariance`` is the GP prior covariance on all n nodes and
-    ``commute`` the all-pairs commute-time table of this teacher's graph.
+    ``laplacian`` (the learner graph's own, not a copy) and ``kappa2`` give
+    the GP prior precision ``laplacian + I / kappa2`` that reliability is
+    solved from; ``commute`` is the graph's all-pairs commute-time table.
     """
 
-    covariance: np.ndarray
+    laplacian: np.ndarray
     commute: np.ndarray
     kappa2: float
 
 
-def covariance(graph: LearnerGraph, kappa2: float = 100.0) -> np.ndarray:
-    """GP prior covariance: the inverse of (Laplacian + I / kappa2).
+def make_teacher(graph: LearnerGraph, kappa2: float = 100.0) -> TeacherState:
+    """Bundle the GP precision inputs and commute table for one teacher-learner pair.
 
     ``kappa2`` sharpens or flattens the prior; the Laplacian is PSD, so the
-    shifted matrix is positive definite for any finite positive kappa2.
+    precision is positive definite for any finite positive kappa2.
     """
     if kappa2 <= 0:
         raise ValueError("kappa2 must be positive")
-    shifted = graph.laplacian + np.eye(graph.n) / kappa2
-    sigma = np.linalg.inv(shifted)
-    return 0.5 * (sigma + sigma.T)
-
-
-def make_teacher(graph: LearnerGraph, kappa2: float = 100.0) -> TeacherState:
-    """Bundle the covariance and commute table for one teacher-learner pair."""
-    return TeacherState(covariance(graph, kappa2), commute_table(graph), kappa2)
+    return TeacherState(graph.laplacian, commute_table(graph), kappa2)
 
 
 def candidate_set(
@@ -84,37 +80,28 @@ def candidate_set(
 
 
 def reliability_term(
-    sigma: np.ndarray, candidates: Sequence[int], labeled: Sequence[int]
+    laplacian: np.ndarray,
+    kappa2: float,
+    candidates: Sequence[int],
+    anchors: Sequence[int],
 ) -> np.ndarray:
-    """Conditional covariance of candidate labels given the labeled labels.
+    """Conditional covariance of candidate labels given the anchored labels.
 
-    Returns Sigma_BB - Sigma_BL Sigma_LL^-1 Sigma_LB, the covariance of the
-    GP posterior over the candidate pool; its trace is the quantity each
-    teacher minimizes when judging reliability.
+    With R the nodes outside ``anchors``, this is the candidates' block of
+    (laplacian[R, R] + I / kappa2)^-1, equal to the Schur complement
+    Sigma_BB - Sigma_BL Sigma_LL^-1 Sigma_LB of the prior covariance.  Its
+    trace is what each teacher minimizes.  Candidates must not be anchored.
     """
     candidates = np.asarray(candidates, dtype=int)
-    labeled = np.asarray(labeled, dtype=int)
-    sig_bb = sigma[np.ix_(candidates, candidates)]
-    sig_bl = sigma[np.ix_(candidates, labeled)]
-    sig_ll = sigma[np.ix_(labeled, labeled)]
-    if np.linalg.cond(sig_ll) > COND_LIMIT:
-        sig_ll = sig_ll + (1e-10 * np.trace(sig_ll) / len(labeled)) * np.eye(len(labeled))
-    conditional = sig_bb - sig_bl @ np.linalg.solve(sig_ll, sig_bl.T)
+    anchors = np.asarray(anchors, dtype=int)
+    if np.isin(candidates, anchors).any():
+        raise ValueError("candidates must not overlap the anchors")
+    rest = np.setdiff1d(np.arange(laplacian.shape[0]), anchors)
+    at = np.searchsorted(rest, candidates)
+    identity = np.eye(rest.size)
+    precision = laplacian[np.ix_(rest, rest)] + identity / kappa2
+    conditional = np.linalg.solve(precision, identity[:, at])[at]
     return 0.5 * (conditional + conditional.T)
-
-
-def class_gap(
-    teacher: TeacherState, candidate: int, labeled_by_class: Mapping[int, Sequence[int]]
-) -> float:
-    """Commute-time gap between the candidate's two closest labeled classes."""
-    averages = sorted(
-        float(np.mean(teacher.commute[candidate, np.asarray(members, dtype=int)]))
-        for members in labeled_by_class.values()
-        if len(members) > 0
-    )
-    if len(averages) < 2:
-        raise ValueError("need labeled members of at least 2 classes")
-    return max(averages[1] - averages[0], GAP_FLOOR)
 
 
 def gap_matrix(
@@ -124,14 +111,17 @@ def gap_matrix(
 ) -> np.ndarray:
     """Diagonal discriminability penalty, 1/gap per candidate.
 
-    With fewer than two labeled classes there is nothing to discriminate
-    between, so the penalty is disabled (all zeros) for this round.
+    The gap is the difference between a candidate's two smallest class-mean
+    commute times, floored at ``GAP_FLOOR``.  With fewer than two labeled
+    classes there is nothing to discriminate between, so the penalty is
+    disabled (all zeros) for this round.
     """
-    b = len(candidates)
-    populated = sum(1 for members in labeled_by_class.values() if len(members) > 0)
-    if populated < 2:
-        return np.zeros((b, b))
-    gaps = np.array([class_gap(teacher, i, labeled_by_class) for i in candidates])
+    groups = [members for members in labeled_by_class.values() if len(members) > 0]
+    if len(groups) < 2:
+        return np.zeros((len(candidates), len(candidates)))
+    means = np.column_stack([teacher.commute[np.ix_(candidates, m)].mean(axis=1) for m in groups])
+    means.sort(axis=1)
+    gaps = np.maximum(means[:, 1] - means[:, 0], GAP_FLOOR)
     return np.diag(1.0 / gaps)
 
 
@@ -141,6 +131,6 @@ def teaching_matrix(
     labeled_by_class: Mapping[int, Sequence[int]],
 ) -> np.ndarray:
     """Per-teacher score matrix: reliability term plus discriminability diagonal."""
-    labeled = np.sort(np.concatenate([np.asarray(v, dtype=int) for v in labeled_by_class.values()]))
-    rel = reliability_term(teacher.covariance, candidates, labeled)
+    anchors = np.concatenate([np.asarray(v, dtype=int) for v in labeled_by_class.values()])
+    rel = reliability_term(teacher.laplacian, teacher.kappa2, candidates, anchors)
     return rel + gap_matrix(teacher, candidates, labeled_by_class)

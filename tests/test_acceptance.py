@@ -18,7 +18,7 @@ import numpy as np
 from hydent.data import SplitSpec, split, synth_noisy_gaussian
 from hydent.graph import assemble, commute_table
 from hydent.run import RunConfig, paired_t_test, run_baseline
-from hydent.teacher import covariance, reliability_term
+from hydent.teacher import reliability_term
 from hydent.teaching import bcd_solve, gradient, surrogate
 
 PROTOCOL_SEEDS = tuple(range(10))
@@ -202,12 +202,11 @@ def test_08_trace_and_entropy_rank_candidates_identically():
     for _ in range(trials):
         n = int(rng.integers(10, 18))
         g = assemble(random_connected_adjacency(rng, n))
-        sigma = covariance(g)
         perm = rng.permutation(n)
         labeled = perm[: int(rng.integers(2, 5))]
         pool = perm[len(labeled) : len(labeled) + int(rng.integers(2, 9))]
         variances = np.array(
-            [reliability_term(sigma, [i], labeled)[0, 0] for i in pool]
+            [reliability_term(g.laplacian, 100.0, [i], labeled)[0, 0] for i in pool]
         )
         entropies = 0.5 * np.log(2.0 * math.pi * math.e * variances)
         if np.array_equal(np.argsort(variances), np.argsort(entropies)):

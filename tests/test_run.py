@@ -5,6 +5,7 @@ under a second; statistical quality is exercised by the acceptance
 suite, not these tests.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -65,6 +66,15 @@ def test_run_with_nothing_unlabeled_is_a_no_op():
     assert len(result.rounds) == 0
     np.testing.assert_array_equal(result.predictions, dataset.labels)
     assert result.accuracy == 1.0
+
+
+def test_run_on_rescaled_features_names_sigma():
+    # features x100 put every kNN edge of some node beyond exp underflow at sigma=1
+    dataset = synth_noisy_gaussian(100, 1.0, seed=0)
+    scaled = dataclasses.replace(dataset, features=dataset.features * 100.0)
+    labeled_idx, _ = split(scaled, SplitSpec(1, seed=0))
+    with pytest.raises(ValueError, match=r"sigma=1\.0 .* node 6 .*squared distance .*--sigma"):
+        run_hydent(scaled, labeled_idx, RunConfig())
 
 
 def test_run_is_deterministic():

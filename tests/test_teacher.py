@@ -1,5 +1,5 @@
-"""Teacher-side quantities: the prior covariance, frontier candidates,
-conditional reliability, and commute-time discriminability.
+"""Teacher-side quantities: frontier candidates, conditional reliability
+from the GP precision, and commute-time discriminability.
 
 The two-node graph with a unit edge gives closed forms for everything:
 with kappa^2 = 100 the shifted Laplacian is [[1.01, -1], [-1, 1.01]],
@@ -14,8 +14,6 @@ from hydent.teacher import (
     GAP_FLOOR,
     TeacherState,
     candidate_set,
-    class_gap,
-    covariance,
     gap_matrix,
     make_teacher,
     reliability_term,
@@ -37,8 +35,35 @@ def random_graph(rng, n, k=3):
     return assemble(gaussian_weights(knn_pattern(x, k), x, 1.0))
 
 
+def prior(graph, kappa2=100.0):
+    """GP prior covariance on every node: reliability given no anchors."""
+    return reliability_term(graph.laplacian, kappa2, np.arange(graph.n), [])
+
+
+def schur_oracle(graph, kappa2, candidates, anchors):
+    """Reference: invert the precision densely, then take the Schur complement
+    Sigma_BB - Sigma_BL Sigma_LL^-1 Sigma_LB."""
+    sigma = np.linalg.inv(graph.laplacian + np.eye(graph.n) / kappa2)
+    sigma = 0.5 * (sigma + sigma.T)
+    sig_bb = sigma[np.ix_(candidates, candidates)]
+    sig_bl = sigma[np.ix_(candidates, anchors)]
+    sig_ll = sigma[np.ix_(anchors, anchors)]
+    conditional = sig_bb - sig_bl @ np.linalg.solve(sig_ll, sig_bl.T)
+    return 0.5 * (conditional + conditional.T)
+
+
+def loop_gaps(commute, candidates, labeled_by_class):
+    """Reference: one candidate at a time, gap between the two closest class means."""
+    gaps = []
+    for i in candidates:
+        means = sorted(float(np.mean(commute[i, members]))
+                       for members in labeled_by_class.values() if len(members) > 0)
+        gaps.append(max(means[1] - means[0], GAP_FLOOR))
+    return np.array(gaps)
+
+
 def test_covariance_two_node_closed_form():
-    sigma = covariance(assemble(TWO_NODE), kappa2=100.0)
+    sigma = prior(assemble(TWO_NODE))
     expected = np.array([[1.01, 1.0], [1.0, 1.01]]) / 0.0201
     np.testing.assert_allclose(sigma, expected, rtol=1e-10)
     np.testing.assert_allclose(sigma, [[50.2488, 49.7512], [49.7512, 50.2488]], atol=1e-4)
@@ -47,45 +72,66 @@ def test_covariance_two_node_closed_form():
 def test_covariance_inverts_shifted_laplacian():
     rng = np.random.default_rng(0)
     g = random_graph(rng, 15)
-    sigma = covariance(g, kappa2=100.0)
-    product = sigma @ (g.laplacian + np.eye(g.n) / 100.0)
+    product = prior(g) @ (g.laplacian + np.eye(g.n) / 100.0)
     np.testing.assert_allclose(product, np.eye(g.n), atol=1e-8)
 
 
 def test_covariance_small_kappa_limit():
     # when the prior dominates the Laplacian, Sigma collapses to kappa^2 I
-    g = chain_graph(5)
-    sigma = covariance(g, kappa2=1e-6)
+    sigma = prior(chain_graph(5), kappa2=1e-6)
     np.testing.assert_allclose(sigma, 1e-6 * np.eye(5), rtol=1e-4, atol=1e-10)
 
 
 def test_covariance_requires_positive_kappa():
-    with pytest.raises(ValueError):
-        covariance(assemble(TWO_NODE), kappa2=0.0)
+    for kappa2 in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            make_teacher(assemble(TWO_NODE), kappa2=kappa2)
 
 
 def test_make_teacher_bundles_state():
-    teacher = make_teacher(assemble(TWO_NODE))
+    g = assemble(TWO_NODE)
+    teacher = make_teacher(g)
     assert isinstance(teacher, TeacherState)
     assert teacher.kappa2 == 100.0
+    assert teacher.laplacian is g.laplacian
     assert teacher.commute[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reliability_two_node_scalar():
-    teacher = make_teacher(assemble(TWO_NODE))
-    rel = reliability_term(teacher.covariance, [1], [0])
-    s = teacher.covariance
+    g = assemble(TWO_NODE)
+    rel = reliability_term(g.laplacian, 100.0, [1], [0])
+    s = prior(g)
     expected = s[1, 1] - s[1, 0] ** 2 / s[0, 0]
     assert rel.shape == (1, 1)
     assert rel[0, 0] == pytest.approx(expected, rel=1e-12)
-    assert rel[0, 0] == pytest.approx(0.99005, abs=1e-4)
+    assert rel[0, 0] == pytest.approx(1.0 / 1.01, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, anchored", [(12, 2), (20, 3), (20, 17), (30, 27)])
+def test_reliability_matches_schur_oracle(n, anchored):
+    # few anchors, and |L| close to n where Sigma_LL is worst conditioned
+    rng = np.random.default_rng(n + anchored)
+    g = random_graph(rng, n)
+    perm = rng.permutation(n)
+    anchors, candidates = np.sort(perm[:anchored]), perm[anchored:]
+    for kappa2 in (1.0, 100.0):
+        rel = reliability_term(g.laplacian, kappa2, candidates, anchors)
+        expected = schur_oracle(g, kappa2, candidates, anchors)
+        # entries between blocks that anchoring disconnects are exact zeros
+        # here but rounding noise in the dense oracle, hence the scaled floor
+        np.testing.assert_allclose(rel, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+
+
+def test_reliability_rejects_anchored_candidates():
+    g = chain_graph(5)
+    with pytest.raises(ValueError, match="overlap"):
+        reliability_term(g.laplacian, 100.0, [1, 2], [0, 2])
 
 
 def test_reliability_is_psd_and_symmetric():
     rng = np.random.default_rng(1)
     g = random_graph(rng, 20)
-    sigma = covariance(g)
-    rel = reliability_term(sigma, np.arange(5, 12), np.arange(5))
+    rel = reliability_term(g.laplacian, 100.0, np.arange(5, 12), np.arange(5))
     np.testing.assert_allclose(rel, rel.T, atol=1e-12)
     assert np.linalg.eigvalsh(rel).min() > -1e-8
 
@@ -93,10 +139,9 @@ def test_reliability_is_psd_and_symmetric():
 def test_conditioning_cannot_increase_variance():
     rng = np.random.default_rng(2)
     g = random_graph(rng, 18)
-    sigma = covariance(g)
     cand = np.array([10, 12, 15])
-    rel = reliability_term(sigma, cand, np.arange(6))
-    assert np.all(np.diag(rel) <= np.diag(sigma)[cand] + 1e-10)
+    rel = reliability_term(g.laplacian, 100.0, cand, np.arange(6))
+    assert np.all(np.diag(rel) <= np.diag(prior(g))[cand] + 1e-10)
 
 
 def test_reliability_disjoint_components_keep_prior():
@@ -104,20 +149,25 @@ def test_reliability_disjoint_components_keep_prior():
     W = np.zeros((4, 4))
     W[0, 1] = W[1, 0] = 1.0
     W[2, 3] = W[3, 2] = 1.0
-    sigma = covariance(assemble(W))
-    rel = reliability_term(sigma, [2, 3], [0, 1])
-    np.testing.assert_allclose(rel, sigma[np.ix_([2, 3], [2, 3])], atol=1e-8)
+    g = assemble(W)
+    rel = reliability_term(g.laplacian, 100.0, [2, 3], [0, 1])
+    np.testing.assert_allclose(rel, prior(g)[np.ix_([2, 3], [2, 3])], atol=1e-8)
+    np.testing.assert_allclose(rel, schur_oracle(g, 100.0, [2, 3], [0, 1]), rtol=1e-10)
+    np.testing.assert_allclose(
+        reliability_term(g.laplacian, 100.0, [1, 3], [0, 2]),
+        schur_oracle(g, 100.0, [1, 3], [0, 2]),
+        rtol=1e-10,
+    )
 
 
 def test_reliability_trace_shrinks_as_labels_grow():
     # more anchors never leave the teacher less certain
     rng = np.random.default_rng(3)
     g = random_graph(rng, 20)
-    sigma = covariance(g)
     cand = np.array([15, 16, 17, 18])
     prev = np.inf
     for count in (2, 4, 8, 12):
-        trace = np.trace(reliability_term(sigma, cand, np.arange(count)))
+        trace = np.trace(reliability_term(g.laplacian, 100.0, cand, np.arange(count)))
         assert trace <= prev + 1e-10
         prev = trace
 
@@ -127,7 +177,7 @@ def test_class_gap_second_versus_first():
     commute[3, 0], commute[3, 1], commute[3, 2] = 1.0, 3.0, 2.0
     teacher = TeacherState(np.eye(4), commute, 100.0)
     by_class = {0: [0], 1: [1], 2: [2]}
-    assert class_gap(teacher, 3, by_class) == pytest.approx(1.0)
+    np.testing.assert_allclose(gap_matrix(teacher, [3], by_class), [[1.0]])
 
 
 def test_class_gap_averages_class_members():
@@ -135,20 +185,14 @@ def test_class_gap_averages_class_members():
     commute[4, :4] = [1.0, 3.0, 10.0, 20.0]
     teacher = TeacherState(np.eye(5), commute, 100.0)
     by_class = {0: [0, 1], 1: [2, 3]}  # means 2.0 and 15.0
-    assert class_gap(teacher, 4, by_class) == pytest.approx(13.0)
+    np.testing.assert_allclose(gap_matrix(teacher, [4], by_class), [[1.0 / 13.0]])
 
 
 def test_class_gap_tie_floors():
     commute = np.zeros((3, 3))
     commute[2, 0] = commute[2, 1] = 5.0
     teacher = TeacherState(np.eye(3), commute, 100.0)
-    assert class_gap(teacher, 2, {0: [0], 1: [1]}) == GAP_FLOOR
-
-
-def test_class_gap_needs_two_classes():
-    teacher = TeacherState(np.eye(3), np.ones((3, 3)), 100.0)
-    with pytest.raises(ValueError):
-        class_gap(teacher, 2, {0: [0], 1: []})
+    assert gap_matrix(teacher, [2], {0: [0], 1: [1]})[0, 0] == 1.0 / GAP_FLOOR
 
 
 def test_gap_matrix_diagonal_inverse_gaps():
@@ -160,10 +204,22 @@ def test_gap_matrix_diagonal_inverse_gaps():
     np.testing.assert_allclose(G, np.diag([0.5, 0.25]))
 
 
+def test_gap_matrix_matches_per_candidate_loop():
+    rng = np.random.default_rng(4)
+    g = random_graph(rng, 30)
+    teacher = make_teacher(g)
+    perm = rng.permutation(g.n)
+    by_class = {0: np.sort(perm[:3]), 1: np.sort(perm[3:7]), 2: np.sort(perm[7:12]), 3: []}
+    cand = perm[12:]
+    G = gap_matrix(teacher, cand, by_class)
+    np.testing.assert_array_equal(G, np.diag(1.0 / loop_gaps(teacher.commute, cand, by_class)))
+
+
 def test_gap_matrix_disabled_with_single_class():
     teacher = TeacherState(np.eye(3), np.ones((3, 3)), 100.0)
-    G = gap_matrix(teacher, [1, 2], {0: [0], 1: []})
-    np.testing.assert_allclose(G, np.zeros((2, 2)))
+    for by_class in ({0: [0], 1: []}, {0: [0]}, {0: [0, 1], 1: [], 2: []}):
+        G = gap_matrix(teacher, [1, 2], by_class)
+        np.testing.assert_array_equal(G, np.zeros((2, 2)))
 
 
 def test_teaching_matrix_is_sum_of_parts():
@@ -172,7 +228,7 @@ def test_teaching_matrix_is_sum_of_parts():
     by_class = {0: [0], 1: [5]}
     cand = [1, 4]
     R = teaching_matrix(teacher, cand, by_class)
-    rel = reliability_term(teacher.covariance, cand, [0, 5])
+    rel = reliability_term(g.laplacian, 100.0, cand, [0, 5])
     G = gap_matrix(teacher, cand, by_class)
     np.testing.assert_allclose(R, rel + G, atol=1e-12)
 
