@@ -195,6 +195,16 @@ def test_class_gap_tie_floors():
     assert gap_matrix(teacher, [2], {0: [0], 1: [1]})[0, 0] == 1.0 / GAP_FLOOR
 
 
+def test_class_gap_needs_two_classes():
+    # One populated class gives no gap to measure; a member in a second class
+    # switches the penalty on.
+    commute = np.zeros((3, 3))
+    commute[2, 0], commute[2, 1] = 1.0, 3.0
+    teacher = TeacherState(np.eye(3), commute, 100.0)
+    np.testing.assert_array_equal(gap_matrix(teacher, [2], {0: [0], 1: []}), [[0.0]])
+    np.testing.assert_allclose(gap_matrix(teacher, [2], {0: [0], 1: [1]}), [[0.5]])
+
+
 def test_gap_matrix_diagonal_inverse_gaps():
     commute = np.zeros((4, 4))
     commute[2, 0], commute[2, 1] = 1.0, 3.0  # gap 2
