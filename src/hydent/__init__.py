@@ -54,14 +54,15 @@ from .teaching import (
     TeachingSolution,
     bcd_solve,
     easiest_start,
+    exact_step,
     extract_curriculum,
     gradient,
     l21_norm,
     l21_weight_matrix,
+    line_quartic,
     objective,
     stack_blocks,
     surrogate,
-    wolfe_step,
 )
 
 __version__ = "0.1.0"
@@ -85,6 +86,7 @@ __all__ = [
     "dump_edges",
     "easiest_start",
     "evaluate",
+    "exact_step",
     "extract_curriculum",
     "feedback_value",
     "final_labels",
@@ -97,6 +99,7 @@ __all__ = [
     "knn_pattern",
     "l21_norm",
     "l21_weight_matrix",
+    "line_quartic",
     "load_csv",
     "make_teacher",
     "next_size",
@@ -116,7 +119,6 @@ __all__ = [
     "surrogate",
     "synth_noisy_gaussian",
     "teaching_matrix",
-    "wolfe_step",
     "write_bcd_trace_csv",
     "write_rounds_csv",
 ]

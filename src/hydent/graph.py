@@ -3,13 +3,15 @@
 Each learner propagates on its own weighted graph.  This module builds the
 k-nearest-neighbor edge pattern, fills in edge weights (plain Gaussian
 kernel, or Gaussian kernel with proportional self-loops), and precomputes
-the degree vector, Laplacian, row-stochastic iteration matrix, and the full
-Laplacian eigendecomposition that commute times are read from.
+the degree vector, Laplacian and row-stochastic iteration matrix.  The full
+Laplacian eigendecomposition that commute times are read from is computed
+the first time something reads it, so runs without teachers never pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,15 +24,26 @@ class LearnerGraph:
     """Adjacency plus every derived matrix a learner or teacher needs.
 
     ``eigenvalues`` are ascending; ``eigenvectors[:, k]`` is the orthonormal
-    eigenvector for ``eigenvalues[k]``.
+    eigenvector for ``eigenvalues[k]``.  Both come from one Laplacian
+    eigendecomposition, made on the first read of either and then kept.
     """
 
     adjacency: np.ndarray
     degree: np.ndarray
     laplacian: np.ndarray
     iteration: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+
+    @cached_property
+    def _spectrum(self):
+        return np.linalg.eigh(self.laplacian)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._spectrum[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._spectrum[1]
 
     @property
     def n(self) -> int:
@@ -108,7 +121,7 @@ def flap_style_weights(
 
 
 def assemble(adjacency: np.ndarray) -> LearnerGraph:
-    """Derive degree, Laplacian, iteration matrix, and spectrum from W.
+    """Derive degree, Laplacian and iteration matrix from W (the spectrum on demand).
 
     Fails on a zero-degree row: an isolated node can never receive label
     mass, which makes the iteration matrix undefined.
@@ -127,8 +140,7 @@ def assemble(adjacency: np.ndarray) -> LearnerGraph:
         raise ValueError(f"node {bad} has zero degree; graph construction failed")
     laplacian = np.diag(degree) - W
     iteration = W / degree[:, None]
-    eigenvalues, eigenvectors = np.linalg.eigh(laplacian)
-    return LearnerGraph(W, degree, laplacian, iteration, eigenvalues, eigenvectors)
+    return LearnerGraph(W, degree, laplacian, iteration)
 
 
 def _inverse_spectrum(graph: LearnerGraph) -> np.ndarray:

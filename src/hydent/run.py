@@ -75,7 +75,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Trace of one teaching round."""
+    """Trace of one teaching round.
+
+    ``converged`` tells whether the round's selection solve converged; it
+    is None for rounds without a solve (no-teaching variants).
+    """
 
     index: int
     pool_size: int
@@ -86,6 +90,7 @@ class RoundRecord:
     curriculum: np.ndarray
     weights: np.ndarray
     scores: np.ndarray
+    converged: bool | None
 
 
 @dataclass(frozen=True)
@@ -195,10 +200,12 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
             chosen = candidates[solution.curriculum]
             weights = solution.weights
             objective = solution.objective_trace
+            converged = solution.converged
         else:
             chosen = candidates
             weights = np.tile(uniform, (pool, 1))
             objective = np.empty(0)
+            converged = None
 
         scores = propagate_round(scores, iterations, chosen, weights, learned, start)
         feedback = feedback_value(scores[chosen], c, config.gamma)
@@ -215,6 +222,7 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
             curriculum=chosen,
             weights=weights,
             scores=scores,
+            converged=converged,
         )
         records.append(record)
         if round_hook is not None:
@@ -318,10 +326,11 @@ def result_to_json(result: RunResult) -> str:
 
 
 def write_rounds_csv(result: RunResult, path) -> None:
-    """Per-round trace: round, b, s, g, seconds."""
+    """Per-round trace: round, b, s, g, seconds, converged (1, 0, or empty without a solve)."""
     with open(path, "w") as handle:
         for r in result.rounds:
-            handle.write(f"{r.index},{r.pool_size},{r.size},{repr(r.feedback)},{repr(r.seconds)}\n")
+            converged = "" if r.converged is None else int(r.converged)
+            handle.write(f"{r.index},{r.pool_size},{r.size},{repr(r.feedback)},{repr(r.seconds)},{converged}\n")
 
 
 def write_bcd_trace_csv(result: RunResult, path) -> None:

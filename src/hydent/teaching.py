@@ -6,10 +6,16 @@ encodes which candidates that teacher picks.  The joint objective couples
 the per-teacher scores tr(S'RS) with a row-sparsity term on the stacked
 matrix (S(1), ..., S(M)), so a candidate whose whole stacked row is driven
 to zero is one that every teacher agrees is difficult, plus penalties
-pushing each S toward binary, orthogonal-column matrices.  The solver sweeps the
-blocks with gradient steps under a Wolfe line search, refreshing the
-row-norm weights once per sweep, which makes the objective monotonically
-non-increasing.
+pushing each S toward binary, orthogonal-column matrices.
+
+The solver holds the M blocks as one (M, b, s) array.  Each sweep refreshes
+the row-norm weights, which majorize the row-sparsity term and decouple the
+blocks, then moves every block along its negative gradient by the exact
+minimizing step: along a line each block's majorized objective is a quartic
+in the step length, so the step is a root of a cubic.  A step is kept only
+if it does not raise its block's objective, so the objective trace is
+non-increasing.  :func:`surrogate`, :func:`gradient` and
+:func:`line_quartic` take one (b, s) block or the whole stack.
 
 Every 0/1 block with orthonormal columns zeroes both penalties.  When the
 penalty weights are large against the scores, the solve settles next to
@@ -47,93 +53,110 @@ def l21_weight_matrix(stacked: np.ndarray, zeta: float = 1e-8) -> np.ndarray:
     return 1.0 / (2.0 * np.linalg.norm(stacked, axis=1) + zeta)
 
 
-def _check_blocks(blocks, r_list):
-    if len(blocks) != len(r_list) or not blocks:
+def _as_stack(blocks, r_list):
+    """The blocks as one (M, b, s) array and the score matrices as one (M, b, b) array."""
+    if len(blocks) != len(r_list) or len(blocks) == 0:
         raise ValueError("need one score matrix per selection block")
-    b, s = blocks[0].shape
-    for block, r in zip(blocks, r_list):
-        if block.shape != (b, s):
-            raise ValueError("all selection blocks must share one shape")
-        if r.shape != (b, b):
-            raise ValueError(f"score matrix shape {r.shape} does not match pool size {b}")
+    if len({np.shape(block) for block in blocks}) != 1 or np.ndim(blocks[0]) != 2:
+        raise ValueError("all selection blocks must be matrices of one shape")
+    b = np.shape(blocks[0])[0]
+    for r in r_list:
+        if np.shape(r) != (b, b):
+            raise ValueError(f"score matrix shape {np.shape(r)} does not match pool size {b}")
+    return np.asarray(blocks, dtype=float), np.asarray(r_list, dtype=float)
+
+
+def _total(x: np.ndarray):
+    """Sum over the last two axes: one value per block."""
+    return np.sum(x, axis=(-2, -1))
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2) @ x
+
+
+def _block_terms(block: np.ndarray, r: np.ndarray, beta1: float):
+    """tr(S'RS) plus both penalties, per block: everything but the row coupling."""
+    sq = block * block
+    eye = np.eye(block.shape[-1])
+    return _total(block * (r @ block) + beta1 * (sq - block) ** 2) + beta1 * _total((_gram(block) - eye) ** 2)
 
 
 def objective(blocks, r_list, beta0: float, beta1: float) -> float:
-    """Full joint objective, with the row-sparsity term computed exactly."""
-    _check_blocks(blocks, r_list)
-    s = blocks[0].shape[1]
-    eye = np.eye(s)
-    total = beta0 * l21_norm(stack_blocks(blocks))
-    for block, r in zip(blocks, r_list):
-        total += float(np.sum(block * (r @ block)))
-        total += beta1 * float(np.sum((block * block - block) ** 2))
-        total += beta1 * float(np.sum((block.T @ block - eye) ** 2))
-    return total
+    """Full joint objective, with the row-sparsity term computed exactly.
+
+    ``blocks`` is a sequence of (b, s) blocks or an (M, b, s) stack.
+    """
+    blocks, r = _as_stack(blocks, r_list)
+    return float(beta0 * l21_norm(stack_blocks(blocks)) + np.sum(_block_terms(blocks, r, beta1)))
 
 
-def surrogate(block: np.ndarray, r: np.ndarray, h: np.ndarray, beta0: float, beta1: float) -> float:
+def surrogate(block: np.ndarray, r: np.ndarray, h: np.ndarray, beta0: float, beta1: float):
     """One block's objective with the row-sparsity term majorized by h.
 
     This is the function the per-block gradient and line search act on; h
-    stays fixed for a whole sweep.
+    stays fixed for a whole sweep.  Given an (M, b, s) stack and (M, b, b)
+    scores, returns the M block values.
     """
-    eye = np.eye(block.shape[1])
-    value = float(np.sum(block * (r @ block)))
-    value += beta0 * float(np.sum(h * np.einsum("ij,ij->i", block, block)))
-    value += beta1 * float(np.sum((block * block - block) ** 2))
-    value += beta1 * float(np.sum((block.T @ block - eye) ** 2))
-    return value
+    return _block_terms(block, r, beta1) + beta0 * _total(h[:, None] * block * block)
 
 
 def gradient(block: np.ndarray, r: np.ndarray, h: np.ndarray, beta0: float, beta1: float) -> np.ndarray:
-    """Gradient of :func:`surrogate` with respect to the block."""
+    """Gradient of :func:`surrogate` with respect to the block (or each block of a stack)."""
     sq = block * block
     linear = r @ block + beta0 * (h[:, None] * block)
-    linear += beta1 * (2.0 * (block @ (block.T @ block)) - block)
+    linear += beta1 * (2.0 * (block @ _gram(block)) - block)
     return 2.0 * (linear + beta1 * (2.0 * sq * block - 3.0 * sq))
 
 
-def wolfe_step(
-    x: np.ndarray,
-    direction: np.ndarray,
-    value,
-    grad,
-    *,
-    initial: float = 1.0,
-    c1: float = 1e-4,
-    c2: float = 0.9,
-    max_iter: int = 60,
-    max_backtrack: int = 30,
-) -> float:
-    """Step size along ``direction`` satisfying the Wolfe conditions.
+def line_quartic(block, direction, r, h, beta0: float, beta1: float) -> np.ndarray:
+    """Coefficients c0..c4 of ``surrogate(block + t * direction)`` as a polynomial in t.
 
-    Brackets by bisection/expansion until both the sufficient-decrease and
-    curvature conditions hold; if curvature proves unattainable, retreats
-    to plain backtracking with at most ``max_backtrack`` halvings so the
-    step at least decreases the objective.  A zero (or ascent) direction
-    returns 0.0, signalling a stationary point.
+    The coefficients run along the last axis; an (M, b, s) stack gives an
+    (M, 5) array.  With P = S*S - S, Q = (2S - 1)*D, E = D*D (elementwise)
+    the binary penalty along the line is sum (P + tQ + t^2 E)^2, and with
+    A = S'S - I, B = S'D + D'S, C = D'D the orthogonality penalty is
+    ||A + tB + t^2 C||^2; the score and coupling terms are quadratic in t.
     """
-    slope0 = float(np.vdot(grad(x), direction))
-    if slope0 >= 0.0:
-        return 0.0
-    f0 = value(x)
-    lo, hi = 0.0, np.inf
-    t = initial
-    for _ in range(max_iter):
-        if value(x + t * direction) > f0 + c1 * t * slope0:
-            hi = t
-            t = 0.5 * (lo + hi)
-        elif float(np.vdot(grad(x + t * direction), direction)) < c2 * slope0:
-            lo = t
-            t = 2.0 * lo if np.isinf(hi) else 0.5 * (lo + hi)
-        else:
-            return t
-    t = initial
-    for _ in range(max_backtrack):
-        if value(x + t * direction) <= f0 + c1 * t * slope0:
-            return t
-        t *= 0.5
-    return t
+    s, d = block, direction
+    rs, rd = r @ s, r @ d
+    hb = beta0 * h[:, None]
+    p, q, e = s * s - s, (2.0 * s - 1.0) * d, d * d
+    a = _gram(s) - np.eye(s.shape[-1])
+    sd = np.swapaxes(s, -1, -2) @ d
+    cross = sd + np.swapaxes(sd, -1, -2)
+    dd = _gram(d)
+    c0 = _total(s * rs + hb * s * s + beta1 * p * p) + beta1 * _total(a * a)
+    c1 = _total(d * rs + s * rd + 2.0 * hb * s * d + 2.0 * beta1 * p * q) + 2.0 * beta1 * _total(a * cross)
+    c2 = _total(d * rd + hb * e + beta1 * (q * q + 2.0 * p * e)) + beta1 * _total(cross * cross + 2.0 * a * dd)
+    c3 = 2.0 * beta1 * (_total(q * e) + _total(cross * dd))
+    c4 = beta1 * (_total(e * e) + _total(dd * dd))
+    return np.stack([c0, c1, c2, c3, c4], axis=-1)
+
+
+def exact_step(coefficients) -> np.ndarray:
+    """The step t >= 0 minimizing c0 + c1 t + c2 t^2 + c3 t^3 + c4 t^4.
+
+    ``coefficients`` holds c0..c4 along its last axis, one polynomial per
+    leading index.  The minimizer over t >= 0 is 0 or a real root of the
+    cubic derivative, read off as an eigenvalue of its companion matrix.
+    Where c4 = 0 (no penalty, or a zero direction) c3 is 0 as well for the
+    surrogate, and the only root is the vertex -c1 / (2 c2).  Each root is
+    clipped to t >= 0 and the candidate of lowest value wins, with ties
+    going to t = 0, so a zero or ascent direction gives 0.
+    """
+    c = np.asarray(coefficients, dtype=float)
+    c1, c2, c3, c4 = (c[..., k, None] for k in range(1, 5))
+    cubic = c4 > 0.0
+    lead = np.where(cubic, 4.0 * c4, 1.0)
+    companion = np.zeros(c.shape[:-1] + (3, 3))
+    companion[..., 0, :] = np.concatenate([-3.0 * c3, -2.0 * c2, -c1], axis=-1) / lead
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    vertex = -c1 / (2.0 * np.where(c2 > 0.0, c2, np.inf))
+    roots = np.where(cubic, np.linalg.eigvals(companion).real, vertex)
+    t = np.concatenate([np.zeros_like(c1), np.maximum(roots, 0.0)], axis=-1)
+    gain = t * (c1 + t * (c2 + t * (c3 + t * c4)))
+    return np.take_along_axis(t, np.argmin(gain, axis=-1)[..., None], axis=-1)[..., 0]
 
 
 def extract_curriculum(blocks, s: int, threshold: float = 0.001):
@@ -174,21 +197,20 @@ def extract_curriculum(blocks, s: int, threshold: float = 0.001):
     return positions, weights
 
 
-def easiest_start(r_list, s: int):
+def easiest_start(r_list, s: int) -> np.ndarray:
     """Binary starting blocks: each teacher picks its ``s`` lowest-scored candidates.
 
     For a 0/1 block with orthonormal columns both penalties vanish and
     tr(S'RS) is the sum of R's diagonal over the picked rows, so this is
     each teacher's best selection on its own; the solve then weighs it
     against the row coupling.  Ties go to the lower candidate position.
+    Returns the blocks as one (M, b, min(s, b)) stack.
     """
-    blocks = []
-    for r in r_list:
-        b = r.shape[0]
-        picked = np.argsort(np.diag(r), kind="stable")[: min(s, b)]
-        block = np.zeros((b, picked.size))
-        block[picked, np.arange(picked.size)] = 1.0
-        blocks.append(block)
+    diagonals = np.array([np.diag(r) for r in r_list])
+    teachers, b = diagonals.shape
+    picked = np.argsort(diagonals, axis=1, kind="stable")[:, : min(s, b)]
+    blocks = np.zeros((teachers, b, picked.shape[1]))
+    blocks[np.arange(teachers)[:, None], picked, np.arange(picked.shape[1])] = 1.0
     return blocks
 
 
@@ -225,67 +247,62 @@ def bcd_solve(
     threshold: float = 0.001,
     init=None,
 ) -> TeachingSolution:
-    """Minimize the joint curriculum objective by per-block gradient sweeps.
+    """Minimize the joint curriculum objective by batched block gradient sweeps.
 
     Each sweep refreshes the row-norm weights from the current stacked
-    matrix, then updates every block once along its negative gradient with
-    a Wolfe-searched step (the blocks are independent given the weights,
-    so their updates commute).  Stops when the stacked matrix moves less
-    than ``epsilon`` in Frobenius norm or after ``iter_max`` sweeps.
+    matrix, then moves every block along its negative gradient by the
+    exact minimizer of its quartic :func:`surrogate` along that line (the
+    blocks are independent given the weights, so all move at once).  A
+    block keeps its step only if its surrogate, evaluated directly, does
+    not rise.  Stops when the stacked matrix moves less than ``epsilon`` in
+    Frobenius norm, or when a sweep would still raise the full objective
+    through rounding (that sweep is discarded; both count as converged),
+    or after ``iter_max`` sweeps.
 
     ``init`` may supply explicit starting blocks (the driver passes
     :func:`easiest_start`); otherwise entries start uniform on [0, 1)
     drawn from ``init_seed``.
     """
-    r_list = [np.asarray(r, dtype=float) for r in r_list]
-    b = r_list[0].shape[0]
-    if any(r.shape != (b, b) for r in r_list):
+    b = np.shape(r_list[0])[0]
+    if any(np.shape(r) != (b, b) for r in r_list):
         raise ValueError("score matrices must be square and equally sized")
     if s < 1:
         raise ValueError("curriculum size must be positive")
     s = min(s, b)
 
+    r = np.asarray(r_list, dtype=float)
     if init is None:
-        rng = np.random.default_rng(init_seed)
-        blocks = [rng.random((b, s)) for _ in r_list]
+        blocks = np.random.default_rng(init_seed).random((len(r), b, s))
     else:
-        blocks = [np.array(block, dtype=float, copy=True) for block in init]
-        _check_blocks(blocks, r_list)
-        if blocks[0].shape[1] != s:
+        blocks = _as_stack(init, r)[0].copy()
+        if blocks.shape[2] != s:
             raise ValueError("init blocks must have s columns")
 
-    trace = [objective(blocks, r_list, beta0, beta1)]
-    step_hint = [1.0] * len(r_list)
+    trace = [objective(blocks, r, beta0, beta1)]
     converged = False
     for _ in range(iter_max):
         h = l21_weight_matrix(stack_blocks(blocks), zeta)
-        moved = 0.0
-        for m, r in enumerate(r_list):
-            block = blocks[m]
-
-            def value(x, r=r):
-                return surrogate(x, r, h, beta0, beta1)
-
-            def grad(x, r=r):
-                return gradient(x, r, h, beta0, beta1)
-
-            descent = -grad(block)
-            tau = wolfe_step(block, descent, value, grad, initial=step_hint[m])
-            if tau > 0.0:
-                candidate = block + tau * descent
-                # Guard the sweep-level descent argument: never accept a step
-                # the line search failed to make non-increasing.
-                if value(candidate) <= value(block):
-                    moved += float(np.sum((candidate - block) ** 2))
-                    blocks[m] = candidate
-                    step_hint[m] = 2.0 * tau
-        trace.append(objective(blocks, r_list, beta0, beta1))
-        if np.sqrt(moved) < epsilon:
+        descent = -gradient(blocks, r, h, beta0, beta1)
+        step = exact_step(line_quartic(blocks, descent, r, h, beta0, beta1))
+        candidate = blocks + step[:, None, None] * descent
+        # The quartic is exact only up to rounding: keep a block's step only
+        # if its directly evaluated surrogate does not rise.
+        keep = surrogate(candidate, r, h, beta0, beta1) <= surrogate(blocks, r, h, beta0, beta1)
+        candidate = np.where(keep[:, None, None], candidate, blocks)
+        value = objective(candidate, r, beta0, beta1)
+        if value > trace[-1]:
+            # Majorization slack (zeta) and rounding can still lift the full
+            # objective by ~1e-14; stop rather than record a rise.
+            converged = True
+            break
+        moved = float(np.sqrt(np.sum((candidate - blocks) ** 2)))
+        blocks = candidate
+        trace.append(value)
+        if moved < epsilon:
             converged = True
             break
 
-    stacked = stack_blocks(blocks)
-    if stacked.min() < -0.5 or stacked.max() > 1.5:
+    if blocks.min() < -0.5 or blocks.max() > 1.5:
         warnings.warn("selection entries drifted outside [-0.5, 1.5]")
     curriculum, weights = extract_curriculum(blocks, s, threshold)
     return TeachingSolution(tuple(blocks), curriculum, weights, np.asarray(trace), converged)

@@ -99,6 +99,29 @@ def test_curriculum_is_the_easiest_candidates(monkeypatch):
     assert np.mean(rounds) >= 0.9
 
 
+def test_spectrum_is_computed_only_when_teachers_read_it(monkeypatch):
+    graphs, decompositions = [], []
+    assemble, eigh = hydent.run.assemble, np.linalg.eigh
+
+    def keep(adjacency):
+        graphs.append(assemble(adjacency))
+        return graphs[-1]
+
+    def count(matrix):
+        decompositions.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(hydent.run, "assemble", keep)
+    monkeypatch.setattr(np.linalg, "eigh", count)
+    dataset, labeled_idx, _, config = small_problem(seed=4)
+    run_baseline(dataset, labeled_idx, config, "hybrid-no-teaching")
+    assert len(graphs) == 2 and decompositions == []
+    run_hydent(dataset, labeled_idx, config)
+    assert len(graphs) == 4 and len(decompositions) == 2
+    # a cached spectrum is not recomputed on later reads
+    assert graphs[2].eigenvalues is graphs[2].eigenvalues and len(decompositions) == 2
+
+
 def test_run_is_deterministic():
     dataset, labeled_idx, _, config = small_problem(seed=5)
     a = run_hydent(dataset, labeled_idx, config)
@@ -200,11 +223,18 @@ def test_trace_csv_files(tmp_path):
     round_lines = rounds_path.read_text().strip().splitlines()
     assert len(round_lines) == len(result.rounds)
     assert round_lines[0].split(",")[0] == "1"
+    # the sixth column records whether each round's solve converged
+    assert [line.split(",")[5] for line in round_lines] == [str(int(r.converged)) for r in result.rounds]
     trace_lines = trace_path.read_text().strip().splitlines()
     assert len(trace_lines) == sum(len(r.objective) for r in result.rounds)
     # Q column parses as float and starts each round at iteration 0
     first = trace_lines[0].split(",")
     assert first[1] == "0" and float(first[2]) > 0.0
+    # rounds without a solve leave the converged column empty
+    untaught = run_baseline(dataset, labeled_idx, config, "hybrid-no-teaching")
+    assert all(r.converged is None for r in untaught.rounds)
+    write_rounds_csv(untaught, rounds_path)
+    assert all(line.split(",")[5] == "" for line in rounds_path.read_text().splitlines())
 
 
 def test_paired_t_test_hand_worked_example():

@@ -3,6 +3,9 @@
 Oracles used here:
   * a second, independently written evaluation of the objective,
   * central finite differences for the gradient,
+  * direct surrogate evaluation for the quartic line coefficients, and a
+    dense step grid plus the Wolfe search the solver used before the exact
+    step, for the step itself,
   * a dense grid search for the 2-variable solver instance,
   * hand-worked values for the extraction example.
 """
@@ -16,14 +19,15 @@ from hydent.teaching import (
     TeachingSolution,
     bcd_solve,
     easiest_start,
+    exact_step,
     extract_curriculum,
     gradient,
     l21_norm,
     l21_weight_matrix,
+    line_quartic,
     objective,
     stack_blocks,
     surrogate,
-    wolfe_step,
 )
 
 
@@ -144,33 +148,119 @@ def test_gradient_matches_finite_differences():
         assert np.linalg.norm(grad - fd) / denom < 1e-5
 
 
+def wolfe_step(x, direction, value, grad, *, initial=1.0, c1=1e-4, c2=0.9, max_iter=60, max_backtrack=30):
+    """The solver's former Wolfe bracketing search, kept only as an oracle."""
+    slope0 = float(np.vdot(grad(x), direction))
+    if slope0 >= 0.0:
+        return 0.0
+    f0 = value(x)
+    lo, hi = 0.0, np.inf
+    t = initial
+    for _ in range(max_iter):
+        if value(x + t * direction) > f0 + c1 * t * slope0:
+            hi = t
+            t = 0.5 * (lo + hi)
+        elif float(np.vdot(grad(x + t * direction), direction)) < c2 * slope0:
+            lo = t
+            t = 2.0 * lo if np.isinf(hi) else 0.5 * (lo + hi)
+        else:
+            return t
+    t = initial
+    for _ in range(max_backtrack):
+        if value(x + t * direction) <= f0 + c1 * t * slope0:
+            return t
+        t *= 0.5
+    return t
+
+
+def random_stack(rng, m):
+    blocks, r_list = random_instance(rng, m=m)
+    h = rng.random(blocks[0].shape[0]) + 0.1
+    beta0, beta1 = 10.0 ** rng.uniform(-1, 2, size=2)
+    return np.stack(blocks), np.stack(r_list), h, beta0, beta1
+
+
+def test_surrogate_and_gradient_broadcast_over_a_stack():
+    rng = np.random.default_rng(18)
+    for m in (1, 2, 3):
+        blocks, r, h, beta0, beta1 = random_stack(rng, m)
+        values = surrogate(blocks, r, h, beta0, beta1)
+        grads = gradient(blocks, r, h, beta0, beta1)
+        assert values.shape == (m,) and grads.shape == blocks.shape
+        for k in range(m):
+            assert values[k] == pytest.approx(surrogate(blocks[k], r[k], h, beta0, beta1), rel=1e-12)
+            np.testing.assert_allclose(grads[k], gradient(blocks[k], r[k], h, beta0, beta1), rtol=1e-12)
+
+
+def test_line_quartic_matches_direct_evaluation():
+    rng = np.random.default_rng(19)
+    steps = np.array([0.0, 0.3, -0.7, 1.1, 2.5, -1.9])
+    for m in (1, 2, 3):
+        for _ in range(5):
+            blocks, r, h, beta0, beta1 = random_stack(rng, m)
+            direction = rng.normal(size=blocks.shape)
+            coeffs = line_quartic(blocks, direction, r, h, beta0, beta1)
+            assert coeffs.shape == (m, 5)
+            for t in steps:
+                direct = surrogate(blocks + t * direction, r, h, beta0, beta1)
+                np.testing.assert_allclose(coeffs @ t ** np.arange(5), direct, rtol=1e-10)
+            # the linear coefficient is the directional derivative
+            slope = np.sum(gradient(blocks, r, h, beta0, beta1) * direction, axis=(1, 2))
+            np.testing.assert_allclose(coeffs[:, 1], slope, rtol=1e-10, atol=1e-10 * np.abs(coeffs[:, 0]).max())
+
+
+def test_exact_step_beats_a_dense_grid_and_the_wolfe_search():
+    rng = np.random.default_rng(20)
+    for m in (1, 2, 3):
+        for _ in range(5):
+            blocks, r, h, beta0, beta1 = random_stack(rng, m)
+            descent = -gradient(blocks, r, h, beta0, beta1)
+            steps = exact_step(line_quartic(blocks, descent, r, h, beta0, beta1))
+            for k in range(m):
+                def value(x, k=k):
+                    return surrogate(x, r[k], h, beta0, beta1)
+
+                def grad(x, k=k):
+                    return gradient(x, r[k], h, beta0, beta1)
+
+                wolfe = wolfe_step(blocks[k], descent[k], value, grad)
+                best = value(blocks[k] + steps[k] * descent[k])
+                slack = 1e-12 * abs(value(blocks[k]))
+                assert steps[k] > 0.0
+                assert best <= value(blocks[k] + wolfe * descent[k]) + slack
+                grid = np.linspace(0.0, 3.0 * max(steps[k], wolfe), 2001)
+                assert best <= min(value(blocks[k] + t * descent[k]) for t in grid) + slack
+
+
 def test_wolfe_step_quadratic_exact():
-    value = lambda x: float(x**2)
-    grad = lambda x: 2.0 * x
-    tau = wolfe_step(np.array(1.0), np.array(-2.0), value, grad)
-    assert tau == pytest.approx(0.5)
-    assert value(1.0 + tau * -2.0) < value(1.0)
+    # x^2 from 1 along -2: the minimizing step is exactly 0.5
+    x, d = np.array([[1.0]]), np.array([[-2.0]])
+    r, h = np.array([[1.0]]), np.zeros(1)
+    tau = exact_step(line_quartic(x, d, r, h, 0.0, 0.0))
+    assert tau == 0.5
+    assert surrogate(x + tau * d, r, h, 0.0, 0.0) < surrogate(x, r, h, 0.0, 0.0)
 
 
 def test_wolfe_step_zero_direction():
-    value = lambda x: float(np.sum(x**2))
-    grad = lambda x: 2.0 * x
-    assert wolfe_step(np.zeros(3), np.zeros(3), value, grad) == 0.0
+    r, h = np.eye(3), np.zeros(3)
+    zeros, ones = np.zeros((3, 1)), np.ones((3, 1))
+    assert exact_step(line_quartic(zeros, zeros, r, h, 0.0, 0.0)) == 0.0
     # ascent direction is also refused
-    assert wolfe_step(np.ones(3), np.ones(3), value, grad) == 0.0
+    assert exact_step(line_quartic(ones, ones, r, h, 0.0, 0.0)) == 0.0
 
 
 def test_wolfe_step_decreases_rosenbrock_like():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(6, 6))
     Q = a @ a.T + 6 * np.eye(6)
-    value = lambda x: float(0.5 * x @ Q @ x)
-    grad = lambda x: Q @ x
-    x = rng.normal(size=6)
-    d = -grad(x)
-    tau = wolfe_step(x, d, value, grad)
+    # tr(x' (Q/2) x) = x'Qx / 2, whose gradient is Qx
+    r, h = 0.5 * Q, np.zeros(6)
+    x = rng.normal(size=(6, 1))
+    d = -Q @ x
+    tau = exact_step(line_quartic(x, d, r, h, 0.0, 0.0))
     assert tau > 0.0
-    assert value(x + tau * d) < value(x)
+    assert tau == pytest.approx(np.sum(d * d) / np.sum(d * (Q @ d)), rel=1e-12)
+    assert surrogate(x + tau * d, r, h, 0.0, 0.0) < surrogate(x, r, h, 0.0, 0.0)
 
 
 def test_extract_curriculum_worked_example():
