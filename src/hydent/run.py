@@ -3,8 +3,9 @@
 A run starts from a fully labeled dataset and the indices revealed to the
 algorithm.  Each round gathers the frontier of unlabeled nodes adjacent to
 anything already labeled or learned, asks the teachers for a curriculum
-(unless the variant disables teaching, in which case the whole frontier is
-taken; each teacher's solve starts from its own easiest candidates),
+(unless the variant disables teaching or the requested size covers the
+whole frontier, in which case the whole frontier is taken with uniform
+weights; each teacher's solve starts from its own easiest candidates),
 propagates one synchronous step, and measures feedback to size the
 next curriculum.  When nothing is left unlearned the per-learner damped
 diffusions are solved to their limits, averaged, and read out by argmax.
@@ -78,7 +79,8 @@ class RoundRecord:
     """Trace of one teaching round.
 
     ``converged`` tells whether the round's selection solve converged; it
-    is None for rounds without a solve (no-teaching variants).
+    is None for rounds without a solve (no-teaching variants, and rounds
+    whose requested size covers the whole pool).
     """
 
     index: int
@@ -180,12 +182,13 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
         tick = time.perf_counter()
         anchors = np.sort(np.concatenate([labeled_idx, learned]))
         candidates = candidate_set(graphs, anchors, remaining)
-        pool = candidates.size
+        pool = size = candidates.size
         if teaching:
             want = initial_size(pool, config.gamma) if feedback is None else next_size(pool, feedback)
+            size = min(want, pool)
+        if size < pool:
             by_class = _classes_so_far(masked, learned, scores, c)
             r_list = [teaching_matrix(teacher, candidates, by_class) for teacher in teachers]
-            size = min(want, pool)
             solution = bcd_solve(
                 r_list,
                 beta0,
@@ -228,6 +231,7 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
         if round_hook is not None:
             round_hook(record)
 
+    teachers = None  # frees each teacher's running covariance before the closing pass
     limits = [steady_state(p, scores, config.theta) for p in iterations]
     mean_scores = sum(limits) / len(limits)
     predictions = final_labels(mean_scores, masked)

@@ -7,12 +7,17 @@ suite, not these tests.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hydent.run
 from hydent.data import SplitSpec, split, synth_noisy_gaussian
+from hydent.teacher import gap_matrix, reliability_term
 from hydent.run import (
     RunConfig,
     evaluate,
@@ -122,6 +127,60 @@ def test_spectrum_is_computed_only_when_teachers_read_it(monkeypatch):
     assert graphs[2].eigenvalues is graphs[2].eigenvalues and len(decompositions) == 2
 
 
+def test_scoring_downdates_instead_of_solving(monkeypatch):
+    # every score matrix is the one-shot reliability plus the gap, yet after a
+    # teacher's first call no solve or inverse is larger than the number of
+    # nodes anchored since its previous call
+    score, solve, inv = hydent.run.teaching_matrix, np.linalg.solve, np.linalg.inv
+    sizes, calls = [], []
+
+    def spy_solve(a, b):
+        sizes.append(np.shape(a)[0])
+        return solve(a, b)
+
+    def spy_inv(a):
+        sizes.append(np.shape(a)[0])
+        return inv(a)
+
+    def spy(teacher, candidates, by_class):
+        anchors = np.concatenate([np.asarray(v, dtype=int) for v in by_class.values()])
+        seen = None if teacher.free is None else teacher.laplacian.shape[0] - teacher.free.size
+        sizes.clear()
+        result = score(teacher, candidates, by_class)
+        largest = max(sizes, default=0)
+        rel = reliability_term(teacher.laplacian, teacher.kappa2, candidates, anchors)
+        expected = rel + gap_matrix(teacher, candidates, by_class)
+        np.testing.assert_allclose(result, expected, rtol=1e-10, atol=1e-10 * np.abs(rel).max())
+        rest = teacher.laplacian.shape[0] - anchors.size
+        calls.append((seen, anchors.size, largest, rest))
+        return result
+
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    monkeypatch.setattr(np.linalg, "inv", spy_inv)
+    monkeypatch.setattr(hydent.run, "teaching_matrix", spy)
+    dataset, labeled_idx, _, config = small_problem(seed=13, n=30)
+    run_hydent(dataset, labeled_idx, config)
+    later = [(anchored - seen, largest, rest) for seen, anchored, largest, rest in calls if seen is not None]
+    assert len(calls) - len(later) == 2 and len(later) >= 6
+    assert all(largest <= new for new, largest, _ in later)
+    assert all(largest < rest for _, largest, rest in later)
+
+
+def test_protocol_run_imports_no_scipy():
+    # importing scipy alone would add tens of MB to a small run's peak memory
+    src = Path(hydent.run.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from hydent import RunConfig, SplitSpec, run_hydent, split, synth_noisy_gaussian\n"
+        "dataset = synth_noisy_gaussian(15, 0.8, seed=0)\n"
+        "run_hydent(dataset, split(dataset, SplitSpec(1, seed=0))[0], RunConfig(k=4))\n"
+        "sys.exit('scipy was imported' if 'scipy' in sys.modules else 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+
+
 def test_run_is_deterministic():
     dataset, labeled_idx, _, config = small_problem(seed=5)
     a = run_hydent(dataset, labeled_idx, config)
@@ -223,8 +282,12 @@ def test_trace_csv_files(tmp_path):
     round_lines = rounds_path.read_text().strip().splitlines()
     assert len(round_lines) == len(result.rounds)
     assert round_lines[0].split(",")[0] == "1"
-    # the sixth column records whether each round's solve converged
-    assert [line.split(",")[5] for line in round_lines] == [str(int(r.converged)) for r in result.rounds]
+    # the sixth column records whether each round's solve converged, and is
+    # empty for a round that taught its whole pool without a solve
+    assert [line.split(",")[5] for line in round_lines] == [
+        "" if r.converged is None else str(int(r.converged)) for r in result.rounds]
+    assert any(r.converged is not None for r in result.rounds)
+    assert all((r.converged is None) == (r.size == r.pool_size) for r in result.rounds)
     trace_lines = trace_path.read_text().strip().splitlines()
     assert len(trace_lines) == sum(len(r.objective) for r in result.rounds)
     # Q column parses as float and starts each round at iteration 0

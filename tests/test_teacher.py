@@ -122,10 +122,58 @@ def test_reliability_matches_schur_oracle(n, anchored):
         np.testing.assert_allclose(rel, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
 
 
+def two_component_graph(rng, n):
+    half = n // 2
+    W = np.zeros((n, n))
+    for block in (slice(0, half), slice(half, n)):
+        x = rng.normal(size=(block.stop - block.start, 2))
+        W[block, block] = gaussian_weights(knn_pattern(x, 3), x, 1.0)
+    return assemble(W)
+
+
+@pytest.mark.parametrize("seed, split", [(5, False), (6, False), (7, True)])
+def test_running_covariance_matches_reliability_term(seed, split):
+    # anchor nodes one at a time and in blocks until one node is left: after
+    # each teaching_matrix call the downdated covariance of every free node
+    # must equal the one-shot solve, as must a rebuild from fewer anchors
+    rng = np.random.default_rng(seed)
+    g = two_component_graph(rng, 24) if split else random_graph(rng, 24)
+    steps = (1, 1, 3, 1, 5)
+    for kappa2 in (1.0, 100.0):
+        teacher = make_teacher(g, kappa2)
+        order = rng.permutation(g.n)
+        count, calls = 1, 0
+        while count < g.n - 1:
+            count = min(count + steps[calls % len(steps)], g.n - 1)
+            calls += 1
+            anchors, free = order[:count], np.sort(order[count:])
+            by_class = {0: anchors[::2], 1: anchors[1::2]}
+            block = teaching_matrix(teacher, free[::2], by_class)
+            expected = reliability_term(g.laplacian, kappa2, free, anchors)
+            np.testing.assert_array_equal(teacher.free, free)
+            np.testing.assert_allclose(teacher.sigma, expected, rtol=1e-10,
+                                       atol=1e-10 * np.abs(expected).max())
+            np.testing.assert_allclose(block - gap_matrix(teacher, free[::2], by_class),
+                                       expected[::2, ::2], rtol=1e-10,
+                                       atol=1e-10 * np.abs(expected).max())
+            if calls == 4:
+                # anchors that are not a superset of the last call's: rebuilt from the prior
+                fewer = {0: anchors[:2], 1: anchors[2:3]}
+                teaching_matrix(teacher, free, fewer)
+                rest = np.sort(order[3:])
+                np.testing.assert_array_equal(teacher.free, rest)
+                expected = reliability_term(g.laplacian, kappa2, rest, order[:3])
+                np.testing.assert_allclose(teacher.sigma, expected, rtol=1e-10,
+                                           atol=1e-10 * np.abs(expected).max())
+        assert calls >= 8
+
+
 def test_reliability_rejects_anchored_candidates():
     g = chain_graph(5)
     with pytest.raises(ValueError, match="overlap"):
         reliability_term(g.laplacian, 100.0, [1, 2], [0, 2])
+    with pytest.raises(ValueError, match="overlap"):
+        teaching_matrix(make_teacher(g), [1, 2], {0: [0], 1: [2]})
 
 
 def test_reliability_is_psd_and_symmetric():
