@@ -1,13 +1,14 @@
 """Watch the curriculum solver descend.
 
 Builds the first teaching round of a real run by hand: the two learner
-graphs, their teachers, the frontier candidates, and each teacher's
-score matrix.  Then solves the joint selection problem and prints the
-objective trace, which must fall monotonically (that is the solver's
-contract, asserted at the end).  The solve starts where a run starts it,
-at each teacher's easiest candidates; the curriculum is compared with the
-naive strategy of just taking the smallest score diagonals, and with the
-one a random start ends in.
+graphs, the one teacher their shared Laplacian gives them, the frontier
+candidates, and the teacher's score matrix, once per learner.  Then
+solves the joint selection problem and prints the objective trace,
+which must fall monotonically (that is the solver's contract, asserted
+at the end).  The solve starts where a run starts it, at each score
+matrix's easiest candidates; the curriculum is compared with the naive
+strategy of just taking the smallest score diagonals, and with the one
+a random start ends in.
 
 Run:  python3 demos/solver_convergence.py
 """
@@ -42,11 +43,14 @@ def main():
         assemble(gaussian_weights(pattern, dataset.features, config.sigma)),
         assemble(flap_style_weights(pattern, dataset.features, config.sigma)),
     ]
-    teachers = [make_teacher(g, config.kappa2) for g in graphs]
+    # the flap learner's self-loops stay out of its Laplacian, so as in a run
+    # both learners share one teacher
+    assert np.array_equal(graphs[0].laplacian, graphs[1].laplacian)
+    teacher = make_teacher(graphs[0], config.kappa2)
 
     candidates = candidate_set(graphs, labeled_idx, unlabeled_idx)
     by_class = {c: labeled_idx[dataset.labels[labeled_idx] == c] for c in range(2)}
-    r_list = [teaching_matrix(t, candidates, by_class) for t in teachers]
+    r_list = [teaching_matrix(teacher, candidates, by_class)] * len(graphs)
     s = initial_size(candidates.size, config.gamma)
     print(f"frontier of {candidates.size} candidates, curriculum size {s}")
 

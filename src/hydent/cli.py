@@ -14,6 +14,7 @@ import csv
 import os
 import statistics
 import sys
+from dataclasses import fields
 
 from .data import SplitSpec, load_csv, save_csv, split, synth_noisy_gaussian
 from .run import (
@@ -56,21 +57,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args, seed=None) -> RunConfig:
-    return RunConfig(
-        kernels=tuple(k.strip() for k in args.kernels.split(",") if k.strip()),
-        k=args.k,
-        sigma=args.sigma,
-        kappa2=args.kappa2,
-        beta0=args.beta0,
-        beta1=args.beta1,
-        gamma=args.gamma,
-        theta=args.theta,
-        threshold=args.threshold,
-        zeta=args.zeta,
-        epsilon_bcd=args.epsilon_bcd,
-        iter_max=args.iter_max,
-        seed=args.seed if seed is None else seed,
-    )
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    values["kernels"] = tuple(k.strip() for k in args.kernels.split(",") if k.strip())
+    if seed is not None:
+        values["seed"] = seed
+    return RunConfig(**values)
 
 
 def _build_parser() -> argparse.ArgumentParser:

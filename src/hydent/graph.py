@@ -123,6 +123,10 @@ def flap_style_weights(
 def assemble(adjacency: np.ndarray) -> LearnerGraph:
     """Derive degree, Laplacian and iteration matrix from W (the spectrum on demand).
 
+    Self-loops count in the degree and the iteration matrix but stay out of
+    the Laplacian, which is built from the off-diagonal weights alone, so
+    graphs that differ only in self-loops share one Laplacian and one teacher.
+
     Fails on a zero-degree row: an isolated node can never receive label
     mass, which makes the iteration matrix undefined.
     """
@@ -138,7 +142,9 @@ def assemble(adjacency: np.ndarray) -> LearnerGraph:
     if np.any(degree <= 0):
         bad = int(np.flatnonzero(degree <= 0)[0])
         raise ValueError(f"node {bad} has zero degree; graph construction failed")
-    laplacian = np.diag(degree) - W
+    laplacian = 0.0 - W  # unlike -W, leaves absent edges +0.0 as D - W does
+    np.fill_diagonal(laplacian, 0.0)
+    np.fill_diagonal(laplacian, -laplacian.sum(axis=1))
     iteration = W / degree[:, None]
     return LearnerGraph(W, degree, laplacian, iteration)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -167,7 +167,11 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
 
     graphs = _build_graphs(dataset.features, kernels, config)
     iterations = [g.iteration for g in graphs]
-    teachers = [make_teacher(g, config.kappa2) for g in graphs] if teaching else None
+    teachers = []  # one per learner; learners with equal Laplacians share one
+    if teaching:
+        for graph in graphs:
+            same = [t for t in teachers if np.array_equal(t.laplacian, graph.laplacian)]
+            teachers.append(same[0] if same else make_teacher(graph, config.kappa2))
 
     start = init_labels(masked, c)
     scores = start
@@ -298,24 +302,6 @@ def paired_t_test(accuracies_a, accuracies_b, confidence: float = 0.9):
     return float(t), bool(t > critical)
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    return {
-        "kernels": list(config.kernels),
-        "k": config.k,
-        "sigma": config.sigma,
-        "kappa2": config.kappa2,
-        "beta0": config.beta0,
-        "beta1": config.beta1,
-        "gamma": config.gamma,
-        "theta": config.theta,
-        "threshold": config.threshold,
-        "zeta": config.zeta,
-        "epsilon_bcd": config.epsilon_bcd,
-        "iter_max": config.iter_max,
-        "seed": config.seed,
-    }
-
-
 def result_to_json(result: RunResult) -> str:
     """Stable JSON summary of a run (schema field first)."""
     payload = {
@@ -324,7 +310,7 @@ def result_to_json(result: RunResult) -> str:
         "accuracy": result.accuracy,
         "rounds": len(result.rounds),
         "seconds": result.seconds,
-        "config": config_to_dict(result.config) if result.config is not None else None,
+        "config": asdict(result.config) if result.config is not None else None,
     }
     return json.dumps(payload, indent=2)
 

@@ -41,6 +41,10 @@ ROW_BLOCK = 256
 class TeacherState:
     """Per-teacher quantities for one run.
 
+    A teacher is a function of ``laplacian`` and ``kappa2`` alone, so learners
+    with equal Laplacians share one state; a second :func:`teaching_matrix`
+    call with the same anchors only reads it.
+
     ``laplacian`` (the learner graph's own, not a copy) and ``kappa2`` give
     the GP prior precision ``laplacian + I / kappa2``; ``commute`` is the
     graph's all-pairs commute-time table, and ``spectrum`` the Laplacian's
@@ -60,7 +64,10 @@ class TeacherState:
 
 
 def make_teacher(graph: LearnerGraph, kappa2: float = 100.0) -> TeacherState:
-    """Bundle the GP precision inputs, spectrum and commute table for one teacher-learner pair.
+    """Bundle the GP precision inputs, spectrum and commute table for one teacher.
+
+    The teacher judges from ``graph``'s Laplacian alone, so it may serve
+    every learner whose Laplacian equals that one.
 
     ``kappa2`` sharpens or flattens the prior; the Laplacian is PSD, so the
     precision is positive definite for any finite positive kappa2.

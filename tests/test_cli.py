@@ -1,11 +1,14 @@
 """Command-line entry points, exercised through main() with argv lists."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import hydent.cli
 from hydent.cli import main
+from hydent.run import RunConfig
 
 
 def synth(tmp_path, name="data.csv", n=12, cov=0.8, seed=0):
@@ -60,6 +63,33 @@ def test_run_writes_trace_files(tmp_path, capsys):
     rounds = (trace / "rounds.csv").read_text().strip().splitlines()
     payload = json.loads(capsys.readouterr().out)
     assert len(rounds) == payload["rounds"]
+
+
+def test_run_passes_every_config_flag(tmp_path, capsys, monkeypatch):
+    # every RunConfig field has a flag whose value reaches the run and the
+    # JSON summary, which lists the fields in declaration order
+    values = dict(kernels=("flap", "gaussian"), k=3, sigma=1.5, kappa2=50.0, beta0=10.0,
+                  beta1=20.0, gamma=0.7, theta=0.2, threshold=0.002, zeta=1e-7,
+                  epsilon_bcd=1e-3, iter_max=40, seed=3)
+    names = [f.name for f in fields(RunConfig)]
+    assert sorted(values) == sorted(names)
+    assert all(values[name] != getattr(RunConfig(), name) for name in names)
+    argv = ["run", "--data", str(synth(tmp_path))]
+    for name, value in values.items():
+        argv += ["--" + name.replace("_", "-"), ",".join(value) if name == "kernels" else str(value)]
+    run, seen = hydent.cli.run_baseline, []
+
+    def spy(dataset, labeled_idx, config, variant):
+        seen.append(config)
+        return run(dataset, labeled_idx, config, variant)
+
+    monkeypatch.setattr(hydent.cli, "run_baseline", spy)
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert seen == [RunConfig(**values)]
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert list(config) == names
+    assert config == {**values, "kernels": list(values["kernels"])}
 
 
 def test_run_unknown_variant_fails_cleanly(tmp_path, capsys):

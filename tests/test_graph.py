@@ -152,6 +152,29 @@ def test_assemble_row_sum_identities():
     np.testing.assert_allclose(recon, g.laplacian, atol=1e-6)
 
 
+def test_assemble_laplacian_is_degree_minus_weights_bitwise():
+    # zero-diagonal W: the off-diagonal construction matches D - W bit for bit,
+    # signed zeros included
+    rng = np.random.default_rng(6)
+    W = random_connected_adjacency(rng, 15)
+    assert assemble(W).laplacian.tobytes() == (np.diag(W.sum(1)) - W).tobytes()
+
+
+def test_assemble_laplacian_ignores_self_loops():
+    # a self-loop adds as much to D as to W, so the flap graph's Laplacian is
+    # the Gaussian graph's exactly, while degree and iteration keep the loop
+    x = np.random.default_rng(21).normal(size=(30, 2))
+    pattern = knn_pattern(x, 4)
+    plain = assemble(gaussian_weights(pattern, x, 0.8))
+    looped = assemble(flap_style_weights(pattern, x, 0.8))
+    assert looped.laplacian.tobytes() == plain.laplacian.tobytes()
+    loops = np.diag(looped.adjacency)
+    assert np.all(loops > 0)
+    np.testing.assert_allclose(looped.degree, plain.degree + loops, rtol=1e-14)
+    np.testing.assert_array_equal(np.diag(looped.iteration), loops / looped.degree)
+    np.testing.assert_allclose(looped.iteration.sum(axis=1), 1.0, atol=1e-12)
+
+
 def test_assemble_rejects_bad_adjacency():
     with pytest.raises(ValueError, match="zero degree"):
         assemble(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))

@@ -17,6 +17,7 @@ import pytest
 
 import hydent.run
 from hydent.data import SplitSpec, split, synth_noisy_gaussian
+from hydent.graph import assemble
 from hydent.teacher import gap_matrix, reliability_term
 from hydent.run import (
     RunConfig,
@@ -122,15 +123,17 @@ def test_spectrum_is_computed_only_when_teachers_read_it(monkeypatch):
     run_baseline(dataset, labeled_idx, config, "hybrid-no-teaching")
     assert len(graphs) == 2 and decompositions == []
     run_hydent(dataset, labeled_idx, config)
-    assert len(graphs) == 4 and len(decompositions) == 2
+    # both learners share one Laplacian, hence one teacher and one spectrum
+    assert len(graphs) == 4 and len(decompositions) == 1
     # a cached spectrum is not recomputed on later reads
-    assert graphs[2].eigenvalues is graphs[2].eigenvalues and len(decompositions) == 2
+    assert graphs[2].eigenvalues is graphs[2].eigenvalues and len(decompositions) == 1
 
 
 def test_scoring_downdates_instead_of_solving(monkeypatch):
     # every score matrix is the one-shot reliability plus the gap, yet after a
     # teacher's first call no solve or inverse is larger than the number of
-    # nodes anchored since its previous call
+    # nodes anchored since its previous call; the two learners share one
+    # teacher, so only one call builds and the other learner's call only reads
     score, solve, inv = hydent.run.teaching_matrix, np.linalg.solve, np.linalg.inv
     sizes, calls = [], []
 
@@ -161,9 +164,45 @@ def test_scoring_downdates_instead_of_solving(monkeypatch):
     dataset, labeled_idx, _, config = small_problem(seed=13, n=30)
     run_hydent(dataset, labeled_idx, config)
     later = [(anchored - seen, largest, rest) for seen, anchored, largest, rest in calls if seen is not None]
-    assert len(calls) - len(later) == 2 and len(later) >= 6
+    assert len(calls) - len(later) == 1 and len(later) >= 6
     assert all(largest <= new for new, largest, _ in later)
     assert all(largest < rest for _, largest, rest in later)
+
+
+def test_learners_with_one_laplacian_share_one_teacher(monkeypatch):
+    # a teacher is built per distinct Laplacian, not per learner, while the
+    # solve still gets one score matrix per learner
+    make, solve, build = hydent.run.make_teacher, hydent.run.bcd_solve, hydent.run._build_graphs
+    built, matrices = [], []
+
+    def spy_make(graph, kappa2):
+        built.append(graph)
+        return make(graph, kappa2)
+
+    def spy_solve(r_list, *args, **kwargs):
+        matrices.append(len(r_list))
+        return solve(r_list, *args, **kwargs)
+
+    def doubled(features, kernels, config):
+        # doubling the second learner's weights doubles its Laplacian
+        graphs = build(features, kernels, config)
+        return graphs[:1] + [assemble(2.0 * g.adjacency) for g in graphs[1:]]
+
+    monkeypatch.setattr(hydent.run, "make_teacher", spy_make)
+    monkeypatch.setattr(hydent.run, "bcd_solve", spy_solve)
+    dataset, labeled_idx, _, config = small_problem(seed=6)
+    for variant, teachers, learners in (("hydent", 1, 2), ("single-teacher-flap", 1, 1)):
+        built.clear()
+        matrices.clear()
+        run_baseline(dataset, labeled_idx, config, variant)
+        assert len(built) == teachers
+        assert matrices and set(matrices) == {learners}
+    monkeypatch.setattr(hydent.run, "_build_graphs", doubled)
+    built.clear()
+    matrices.clear()
+    run_hydent(dataset, labeled_idx, config)
+    assert len(built) == 2
+    assert matrices and set(matrices) == {2}
 
 
 def test_protocol_run_imports_no_scipy():
