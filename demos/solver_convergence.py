@@ -1,11 +1,11 @@
 """Watch the curriculum solver descend.
 
 Builds the first teaching round of a real run by hand: the two learner
-graphs, the one teacher their shared Laplacian gives them, the frontier
-candidates, and the teacher's score matrix, once per learner.  Then
-solves the joint selection problem and prints the objective trace,
-which must fall monotonically (that is the solver's contract, asserted
-at the end).  The solve starts where a run starts it, at each score
+graphs from one set of Gaussian weights, the one frontier and teacher
+their shared Laplacian gives them, and the teacher's score matrix, once
+per learner.  Then solves the joint selection problem and prints the
+objective trace, which must fall monotonically (that is the solver's
+contract, asserted at the end).  The solve starts where a run starts it, at each score
 matrix's easiest candidates; the curriculum is compared with the naive
 strategy of just taking the smallest score diagonals, and with the one
 a random start ends in.
@@ -31,6 +31,7 @@ from hydent import (
     synth_noisy_gaussian,
     teaching_matrix,
 )
+from hydent.graph import same_edges
 
 
 def main():
@@ -38,17 +39,14 @@ def main():
     dataset = synth_noisy_gaussian(100, 1.0, seed=0)
     labeled_idx, unlabeled_idx = split(dataset, SplitSpec(1, seed=0))
 
-    pattern = knn_pattern(dataset.features, config.k)
-    graphs = [
-        assemble(gaussian_weights(pattern, dataset.features, config.sigma)),
-        assemble(flap_style_weights(pattern, dataset.features, config.sigma)),
-    ]
-    # the flap learner's self-loops stay out of its Laplacian, so as in a run
-    # both learners share one teacher
-    assert np.array_equal(graphs[0].laplacian, graphs[1].laplacian)
+    weights = gaussian_weights(knn_pattern(dataset.features, config.k), dataset.features, config.sigma)
+    graphs = [assemble(weights), assemble(flap_style_weights(weights))]
+    # the flap learner only adds self-loops, which stay out of its Laplacian,
+    # so as in a run both learners share one frontier and one teacher
+    assert same_edges(*graphs)
     teacher = make_teacher(graphs[0], config.kappa2)
 
-    candidates = candidate_set(graphs, labeled_idx, unlabeled_idx)
+    candidates = candidate_set(graphs[:1], labeled_idx, unlabeled_idx)
     by_class = {c: labeled_idx[dataset.labels[labeled_idx] == c] for c in range(2)}
     r_list = [teaching_matrix(teacher, candidates, by_class)] * len(graphs)
     s = initial_size(candidates.size, config.gamma)

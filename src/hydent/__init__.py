@@ -61,7 +61,6 @@ from .teaching import (
     l21_weight_matrix,
     line_quartic,
     objective,
-    stack_blocks,
     surrogate,
 )
 
@@ -114,7 +113,6 @@ __all__ = [
     "save_scores",
     "split",
     "squared_distances",
-    "stack_blocks",
     "steady_state",
     "surrogate",
     "synth_noisy_gaussian",

@@ -100,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ttest.add_argument("--results", required=True, help="CSV written by bench")
     p_ttest.add_argument("--variant-a", required=True)
     p_ttest.add_argument("--variant-b", required=True)
-    p_ttest.add_argument("--confidence", type=float, default=0.9)
     return parser
 
 
@@ -186,7 +185,7 @@ def cmd_ttest(args) -> int:
             b = [table[(args.variant_b, l, r)] for r in repeats]
         except KeyError as missing:
             raise ValueError(f"unpaired rows: no accuracy for {missing.args[0]}") from None
-        t, significant = paired_t_test(a, b, args.confidence)
+        t, significant = paired_t_test(a, b)
         mark = "✓" if significant else "-"
         print(f"l={l}: t={t:.4f} {mark}")
     return 0

@@ -2,10 +2,10 @@
 
 Each learner propagates on its own weighted graph.  This module builds the
 k-nearest-neighbor edge pattern, fills in edge weights (plain Gaussian
-kernel, or Gaussian kernel with proportional self-loops), and precomputes
-the degree vector, Laplacian and row-stochastic iteration matrix.  The full
-Laplacian eigendecomposition that commute times are read from is computed
-the first time something reads it, so runs without teachers never pay for it.
+kernel, or the same weights plus proportional self-loops), and precomputes
+the degree vector and row-stochastic iteration matrix.  The Laplacian and
+its eigendecomposition, which only teachers read, are computed the first
+time something reads them, so runs without teachers never pay for either.
 """
 
 from __future__ import annotations
@@ -23,15 +23,21 @@ EIG_ZERO_REL = 1e-9
 class LearnerGraph:
     """Adjacency plus every derived matrix a learner or teacher needs.
 
-    ``eigenvalues`` are ascending; ``eigenvectors[:, k]`` is the orthonormal
-    eigenvector for ``eigenvalues[k]``.  Both come from one Laplacian
-    eigendecomposition, made on the first read of either and then kept.
+    ``laplacian`` comes from the off-diagonal weights alone.  ``eigenvalues``
+    are ascending; ``eigenvectors[:, k]`` is the orthonormal eigenvector for
+    ``eigenvalues[k]``.  Each is computed on its first read and then kept.
     """
 
     adjacency: np.ndarray
     degree: np.ndarray
-    laplacian: np.ndarray
     iteration: np.ndarray
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        laplacian = 0.0 - self.adjacency  # unlike -W, leaves absent edges +0.0 as D - W does
+        np.fill_diagonal(laplacian, 0.0)
+        np.fill_diagonal(laplacian, -laplacian.sum(axis=1))
+        return laplacian
 
     @cached_property
     def _spectrum(self):
@@ -101,27 +107,26 @@ def gaussian_weights(pattern: np.ndarray, features: np.ndarray, sigma: float) ->
     return weights
 
 
-def flap_style_weights(
-    pattern: np.ndarray, features: np.ndarray, sigma: float, self_loop: float = 1.0
-) -> np.ndarray:
-    """Gaussian kernel weights plus a proportional self-loop on each node.
+def flap_style_weights(weights: np.ndarray, self_loop: float = 1.0) -> np.ndarray:
+    """A copy of Gaussian kernel weights plus a proportional self-loop on each node.
 
     The diagonal entry of row i is ``self_loop`` times the strongest edge
     weight incident to i; an isolated row falls back to the kernel's value
-    at zero distance (1.0) so the self-loop stays positive.  With
-    ``self_loop=0`` this reduces to :func:`gaussian_weights`.
+    at zero distance (1.0) so the self-loop stays positive.  Off-diagonal
+    weights are kept exactly, so both graphs share one Laplacian.
     """
     if self_loop < 0:
         raise ValueError("self_loop must be nonnegative")
-    weights = gaussian_weights(pattern, features, sigma)
-    row_max = weights.max(axis=1)
+    looped = np.array(weights, dtype=float)
+    np.fill_diagonal(looped, 0.0)
+    row_max = looped.max(axis=1)
     row_max[row_max == 0.0] = 1.0
-    np.fill_diagonal(weights, self_loop * row_max)
-    return 0.5 * (weights + weights.T)
+    np.fill_diagonal(looped, self_loop * row_max)
+    return looped
 
 
 def assemble(adjacency: np.ndarray) -> LearnerGraph:
-    """Derive degree, Laplacian and iteration matrix from W (the spectrum on demand).
+    """Derive degree and iteration matrix from W (the Laplacian and spectrum on demand).
 
     Self-loops count in the degree and the iteration matrix but stay out of
     the Laplacian, which is built from the off-diagonal weights alone, so
@@ -142,11 +147,15 @@ def assemble(adjacency: np.ndarray) -> LearnerGraph:
     if np.any(degree <= 0):
         bad = int(np.flatnonzero(degree <= 0)[0])
         raise ValueError(f"node {bad} has zero degree; graph construction failed")
-    laplacian = 0.0 - W  # unlike -W, leaves absent edges +0.0 as D - W does
-    np.fill_diagonal(laplacian, 0.0)
-    np.fill_diagonal(laplacian, -laplacian.sum(axis=1))
     iteration = W / degree[:, None]
-    return LearnerGraph(W, degree, laplacian, iteration)
+    return LearnerGraph(W, degree, iteration)
+
+
+def same_edges(a: LearnerGraph, b: LearnerGraph) -> bool:
+    """Whether two graphs on the same nodes have equal off-diagonal weights, hence one Laplacian."""
+    differ = a.adjacency != b.adjacency
+    np.fill_diagonal(differ, False)
+    return not differ.any()
 
 
 def _inverse_spectrum(graph: LearnerGraph) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import Dataset
 from .feedback import feedback_value, initial_size, next_size
-from .graph import assemble, flap_style_weights, gaussian_weights, knn_pattern
+from .graph import assemble, flap_style_weights, gaussian_weights, knn_pattern, same_edges
 from .propagate import final_labels, init_labels, propagate_round, steady_state
 from .teacher import candidate_set, make_teacher, teaching_matrix
 from .teaching import bcd_solve, easiest_start
@@ -71,7 +71,7 @@ class RunConfig:
         if not 0.0 <= self.theta < 1.0:
             raise ValueError("theta must lie in [0, 1)")
         if self.threshold < 0 or self.zeta <= 0 or self.epsilon_bcd <= 0 or self.iter_max < 1:
-            raise ValueError("threshold, zeta, epsilon_bcd and iter_max must be positive")
+            raise ValueError("threshold must be nonnegative, zeta, epsilon_bcd and iter_max positive")
 
 
 @dataclass(frozen=True)
@@ -120,15 +120,9 @@ def evaluate(predictions, truth, unlabeled_idx) -> float:
 
 
 def _build_graphs(features, kernels, config):
-    pattern = knn_pattern(features, config.k)
-    graphs = []
-    for kernel in kernels:
-        if kernel == "gaussian":
-            weights = gaussian_weights(pattern, features, config.sigma)
-        else:
-            weights = flap_style_weights(pattern, features, config.sigma)
-        graphs.append(assemble(weights))
-    return graphs
+    # Every kernel keeps the Gaussian edge weights; flap only adds self-loops.
+    weights = gaussian_weights(knn_pattern(features, config.k), features, config.sigma)
+    return [assemble(weights if kernel == "gaussian" else flap_style_weights(weights)) for kernel in kernels]
 
 
 def _classes_so_far(masked, learned, scores, class_count):
@@ -167,11 +161,15 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
 
     graphs = _build_graphs(dataset.features, kernels, config)
     iterations = [g.iteration for g in graphs]
-    teachers = []  # one per learner; learners with equal Laplacians share one
-    if teaching:
-        for graph in graphs:
-            same = [t for t in teachers if np.array_equal(t.laplacian, graph.laplacian)]
-            teachers.append(same[0] if same else make_teacher(graph, config.kappa2))
+    # Learners whose graphs differ only in self-loops have one Laplacian, so
+    # one frontier and one teacher: learner i belongs to the group of edges[group[i]].
+    edges, group = [], []
+    for graph in graphs:
+        same = [at for at, other in enumerate(edges) if same_edges(other, graph)]
+        if not same:
+            edges.append(graph)
+        group.append(same[0] if same else len(edges) - 1)
+    teachers = [make_teacher(graph, config.kappa2) for graph in edges] if teaching else None
 
     start = init_labels(masked, c)
     scores = start
@@ -185,14 +183,15 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
     while remaining.size:
         tick = time.perf_counter()
         anchors = np.sort(np.concatenate([labeled_idx, learned]))
-        candidates = candidate_set(graphs, anchors, remaining)
+        candidates = candidate_set(edges, anchors, remaining)
         pool = size = candidates.size
         if teaching:
             want = initial_size(pool, config.gamma) if feedback is None else next_size(pool, feedback)
             size = min(want, pool)
         if size < pool:
             by_class = _classes_so_far(masked, learned, scores, c)
-            r_list = [teaching_matrix(teacher, candidates, by_class) for teacher in teachers]
+            scored = [teaching_matrix(teacher, candidates, by_class) for teacher in teachers]
+            r_list = [scored[at] for at in group]
             solution = bcd_solve(
                 r_list,
                 beta0,

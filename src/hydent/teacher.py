@@ -85,10 +85,11 @@ def candidate_set(
 ) -> np.ndarray:
     """Frontier candidates: unlabeled direct neighbors of the labeled set.
 
-    The frontiers of all learners are unioned so that every teacher scores
-    the same candidate list.  If no unlabeled example touches the labeled
-    set (a disconnected frontier) the whole unlabeled set is promoted, so
-    the propagation loop can always make progress.
+    The frontiers of all graphs are unioned so that every teacher scores
+    the same candidate list; graphs with equal off-diagonal weights have
+    one frontier, so one of them is enough.  If no unlabeled example
+    touches the labeled set (a disconnected frontier) the whole unlabeled
+    set is promoted, so the propagation loop can always make progress.
     """
     labeled = np.asarray(labeled, dtype=int)
     unlabeled = np.asarray(unlabeled, dtype=int)

@@ -32,11 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def stack_blocks(blocks) -> np.ndarray:
-    """Side-by-side view (b, s*M) of the per-teacher selection blocks."""
-    return np.hstack(blocks)
-
-
 def l21_norm(matrix: np.ndarray) -> float:
     """Sum of row 2-norms."""
     return float(np.linalg.norm(matrix, axis=1).sum())
@@ -88,7 +83,7 @@ def objective(blocks, r_list, beta0: float, beta1: float) -> float:
     ``blocks`` is a sequence of (b, s) blocks or an (M, b, s) stack.
     """
     blocks, r = _as_stack(blocks, r_list)
-    return float(beta0 * l21_norm(stack_blocks(blocks)) + np.sum(_block_terms(blocks, r, beta1)))
+    return float(beta0 * l21_norm(np.hstack(blocks)) + np.sum(_block_terms(blocks, r, beta1)))
 
 
 def surrogate(block: np.ndarray, r: np.ndarray, h: np.ndarray, beta0: float, beta1: float):
@@ -172,7 +167,7 @@ def extract_curriculum(blocks, s: int, threshold: float = 0.001):
     candidate pool in rank order and weights has one row-stochastic row per
     position.
     """
-    stacked = stack_blocks(blocks)
+    stacked = np.hstack(blocks)
     b = stacked.shape[0]
     teachers = len(blocks)
     want = min(s, b)
@@ -229,10 +224,6 @@ class TeachingSolution:
     objective_trace: np.ndarray
     converged: bool
 
-    @property
-    def stacked(self) -> np.ndarray:
-        return stack_blocks(self.blocks)
-
 
 def bcd_solve(
     r_list,
@@ -281,7 +272,7 @@ def bcd_solve(
     trace = [objective(blocks, r, beta0, beta1)]
     converged = False
     for _ in range(iter_max):
-        h = l21_weight_matrix(stack_blocks(blocks), zeta)
+        h = l21_weight_matrix(np.hstack(blocks), zeta)
         descent = -gradient(blocks, r, h, beta0, beta1)
         step = exact_step(line_quartic(blocks, descent, r, h, beta0, beta1))
         candidate = blocks + step[:, None, None] * descent

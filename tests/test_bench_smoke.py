@@ -1,0 +1,27 @@
+"""The benchmark harness still runs against the library.
+
+``bench/tracing.py`` wraps names that ``hydent.run`` imports and reads
+``LearnerGraph`` fields, so a rename in ``src/`` can break a traced
+benchmark run without failing any library test.  One traced unit of the
+smallest workload catches that.  Its spans go to the git-ignored
+``bench/out/``.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+
+def test_traced_protocol_unit_runs_clean():
+    child = subprocess.run(
+        [sys.executable, str(BENCH), "--workload", "protocol-n200", "--seed", "0",
+         "--seconds", "1", "--units", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, child.stderr
+    assert result["failed"] == 0 and result["attempted"] > 0

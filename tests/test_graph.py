@@ -108,7 +108,7 @@ def test_flap_weights_two_node_example():
     # both self-loops equal the single edge weight, so every entry matches
     x = np.array([[0.0, 0.0], [1.0, 1.0]])
     pattern = np.array([[False, True], [True, False]])
-    W = flap_style_weights(pattern, x, 1.0)
+    W = flap_style_weights(gaussian_weights(pattern, x, 1.0))
     w = np.exp(-1.0)
     np.testing.assert_allclose(W, [[w, w], [w, w]], rtol=1e-12)
 
@@ -118,7 +118,7 @@ def test_flap_weights_zero_self_loop_reduces_to_gaussian():
     x = rng.normal(size=(8, 2))
     pattern = knn_pattern(x, 3)
     np.testing.assert_allclose(
-        flap_style_weights(pattern, x, 1.0, self_loop=0.0),
+        flap_style_weights(gaussian_weights(pattern, x, 1.0), self_loop=0.0),
         gaussian_weights(pattern, x, 1.0),
         atol=1e-15,
     )
@@ -127,10 +127,10 @@ def test_flap_weights_zero_self_loop_reduces_to_gaussian():
 def test_flap_weights_symmetric():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(10, 3))
-    W = flap_style_weights(knn_pattern(x, 4), x, 0.7)
+    W = flap_style_weights(gaussian_weights(knn_pattern(x, 4), x, 0.7))
     np.testing.assert_allclose(W, W.T, atol=1e-15)
     with pytest.raises(ValueError):
-        flap_style_weights(knn_pattern(x, 4), x, 0.7, self_loop=-1.0)
+        flap_style_weights(gaussian_weights(knn_pattern(x, 4), x, 0.7), self_loop=-1.0)
 
 
 def test_assemble_two_node_graph():
@@ -166,7 +166,7 @@ def test_assemble_laplacian_ignores_self_loops():
     x = np.random.default_rng(21).normal(size=(30, 2))
     pattern = knn_pattern(x, 4)
     plain = assemble(gaussian_weights(pattern, x, 0.8))
-    looped = assemble(flap_style_weights(pattern, x, 0.8))
+    looped = assemble(flap_style_weights(gaussian_weights(pattern, x, 0.8)))
     assert looped.laplacian.tobytes() == plain.laplacian.tobytes()
     loops = np.diag(looped.adjacency)
     assert np.all(loops > 0)

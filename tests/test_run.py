@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hydent.graph
 import hydent.run
 from hydent.data import SplitSpec, split, synth_noisy_gaussian
 from hydent.graph import assemble
@@ -122,9 +123,12 @@ def test_spectrum_is_computed_only_when_teachers_read_it(monkeypatch):
     dataset, labeled_idx, _, config = small_problem(seed=4)
     run_baseline(dataset, labeled_idx, config, "hybrid-no-teaching")
     assert len(graphs) == 2 and decompositions == []
+    assert not any("laplacian" in vars(g) for g in graphs)
     run_hydent(dataset, labeled_idx, config)
-    # both learners share one Laplacian, hence one teacher and one spectrum
+    # both learners share one Laplacian, hence one teacher and one spectrum;
+    # only the teacher's graph builds it
     assert len(graphs) == 4 and len(decompositions) == 1
+    assert ["laplacian" in vars(g) for g in graphs[2:]] == [True, False]
     # a cached spectrum is not recomputed on later reads
     assert graphs[2].eigenvalues is graphs[2].eigenvalues and len(decompositions) == 1
 
@@ -170,10 +174,15 @@ def test_scoring_downdates_instead_of_solving(monkeypatch):
 
 
 def test_learners_with_one_laplacian_share_one_teacher(monkeypatch):
-    # a teacher is built per distinct Laplacian, not per learner, while the
-    # solve still gets one score matrix per learner
+    # a teacher and a frontier graph are kept per distinct Laplacian, not per
+    # learner, while the solve still gets one score matrix per learner
     make, solve, build = hydent.run.make_teacher, hydent.run.bcd_solve, hydent.run._build_graphs
-    built, matrices = [], []
+    frontier = hydent.run.candidate_set
+    built, matrices, gathered = [], [], []
+
+    def spy_frontier(graphs, *args):
+        gathered.append(len(graphs))
+        return frontier(graphs, *args)
 
     def spy_make(graph, kappa2):
         built.append(graph)
@@ -190,19 +199,46 @@ def test_learners_with_one_laplacian_share_one_teacher(monkeypatch):
 
     monkeypatch.setattr(hydent.run, "make_teacher", spy_make)
     monkeypatch.setattr(hydent.run, "bcd_solve", spy_solve)
+    monkeypatch.setattr(hydent.run, "candidate_set", spy_frontier)
     dataset, labeled_idx, _, config = small_problem(seed=6)
     for variant, teachers, learners in (("hydent", 1, 2), ("single-teacher-flap", 1, 1)):
         built.clear()
         matrices.clear()
+        gathered.clear()
         run_baseline(dataset, labeled_idx, config, variant)
         assert len(built) == teachers
         assert matrices and set(matrices) == {learners}
+        assert set(gathered) == {1}
     monkeypatch.setattr(hydent.run, "_build_graphs", doubled)
     built.clear()
     matrices.clear()
+    gathered.clear()
     run_hydent(dataset, labeled_idx, config)
     assert len(built) == 2
     assert matrices and set(matrices) == {2}
+    assert gathered and set(gathered) == {2}
+
+
+def test_graph_work_runs_once_per_group_of_equal_edges(monkeypatch):
+    # the default learners differ only in self-loops: distances are computed
+    # for the kNN pattern and for the one weight build, and each solved round
+    # scores its one teacher once (one frontier graph: see the test above)
+    distances, score, solve = hydent.graph.squared_distances, hydent.run.teaching_matrix, hydent.run.bcd_solve
+    calls = {"distances": 0, "scored": 0, "solved": 0}
+
+    def count(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(hydent.graph, "squared_distances", count("distances", distances))
+    monkeypatch.setattr(hydent.run, "teaching_matrix", count("scored", score))
+    monkeypatch.setattr(hydent.run, "bcd_solve", count("solved", solve))
+    dataset, labeled_idx, _, config = small_problem(seed=12)
+    run_hydent(dataset, labeled_idx, config)
+    assert calls["distances"] == 2
+    assert calls["solved"] >= 3 and calls["scored"] == calls["solved"]
 
 
 def test_protocol_run_imports_no_scipy():
@@ -298,6 +334,9 @@ def test_config_validation():
         RunConfig(k=0)
     with pytest.raises(ValueError):
         RunConfig(zeta=0.0)
+    assert RunConfig(threshold=0.0).threshold == 0.0
+    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        RunConfig(threshold=-0.1)
 
 
 def test_result_json_schema():

@@ -26,7 +26,6 @@ from hydent.teaching import (
     l21_weight_matrix,
     line_quartic,
     objective,
-    stack_blocks,
     surrogate,
 )
 
@@ -53,12 +52,6 @@ def naive_objective(blocks, r_list, beta0, beta1):
     stacked = np.hstack(blocks)
     total += beta0 * sum(np.linalg.norm(row) for row in stacked)
     return total
-
-
-def test_stack_blocks_hstacks():
-    a = np.ones((3, 2))
-    b = np.zeros((3, 1))
-    assert stack_blocks([a, b]).shape == (3, 3)
 
 
 def test_l21_norm_hand_value():
@@ -400,10 +393,3 @@ def test_bcd_solve_rejects_bad_sizes():
     with pytest.raises(ValueError):
         bcd_solve([np.eye(2)], 1.0, 1.0, 0, 0)
 
-
-def test_solution_stacked_view():
-    rng = np.random.default_rng(17)
-    blocks, r_list = random_instance(rng, b=5, s=2, m=2)
-    sol = bcd_solve(r_list, 1.0, 1.0, 2, 1, iter_max=5)
-    assert sol.stacked.shape == (5, 4)
-    np.testing.assert_array_equal(sol.stacked, np.hstack(sol.blocks))
