@@ -103,7 +103,7 @@ class RunResult:
     rounds: tuple
     seconds: float
     scores: np.ndarray
-    config: RunConfig = field(repr=False, default=None)
+    config: RunConfig = field(repr=False)
 
 
 def evaluate(predictions, truth, unlabeled_idx) -> float:
@@ -272,13 +272,13 @@ _T_CRITICAL_90 = (
 _T_CRITICAL_90_LARGE = 1.2816
 
 
-def paired_t_test(accuracies_a, accuracies_b, confidence: float = 0.9):
+def paired_t_test(accuracies_a, accuracies_b):
     """One-sided paired test that mean(a - b) > 0.
 
     Returns ``(t, significant)``.  Zero-variance differences are decided
     degenerately: a positive mean is certain improvement, anything else is
-    not significant.  Only the 0.9 confidence level is supported; its
-    critical values are built in.
+    not significant.  The test is at confidence 0.9, whose critical values
+    are built in.
     """
     a = np.asarray(accuracies_a, dtype=float)
     b = np.asarray(accuracies_b, dtype=float)
@@ -286,8 +286,6 @@ def paired_t_test(accuracies_a, accuracies_b, confidence: float = 0.9):
         raise ValueError("paired samples must be equal-length vectors")
     if a.size < 2:
         raise ValueError("need at least two paired runs")
-    if abs(confidence - 0.9) > 1e-12:
-        raise ValueError("only confidence 0.9 is supported")
     diff = a - b
     mean = float(diff.mean())
     sd = float(diff.std(ddof=1))
@@ -309,7 +307,7 @@ def result_to_json(result: RunResult) -> str:
         "accuracy": result.accuracy,
         "rounds": len(result.rounds),
         "seconds": result.seconds,
-        "config": asdict(result.config) if result.config is not None else None,
+        "config": asdict(result.config),
     }
     return json.dumps(payload, indent=2)
 

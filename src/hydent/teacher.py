@@ -5,7 +5,8 @@ signals: reliability (low conditional variance of the candidate's label
 under a Gaussian process on the graph, given the labeled examples) and
 discriminability (a large gap between the candidate's average commute times
 to its two closest labeled classes).  Both are rolled into one symmetric
-score matrix over the current candidate pool.
+score matrix over the current candidate pool, and both are read from the
+learner graph's cached Laplacian spectrum; no all-pairs table is built.
 
 Reliability comes from the GP prior precision Q = Laplacian + I / kappa2:
 given the anchored nodes, the candidates' conditional covariance is their
@@ -27,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import LearnerGraph, commute_table
+from .graph import LearnerGraph, _inverse_spectrum
 
 # Ties in average commute time would make 1/gap blow up; a tied candidate is
 # simply non-discriminable, so its gap is floored at a small positive value.
@@ -41,41 +42,35 @@ ROW_BLOCK = 256
 class TeacherState:
     """Per-teacher quantities for one run.
 
-    A teacher is a function of ``laplacian`` and ``kappa2`` alone, so learners
-    with equal Laplacians share one state; a second :func:`teaching_matrix`
-    call with the same anchors only reads it.
-
-    ``laplacian`` (the learner graph's own, not a copy) and ``kappa2`` give
-    the GP prior precision ``laplacian + I / kappa2``; ``commute`` is the
-    graph's all-pairs commute-time table, and ``spectrum`` the Laplacian's
-    ``(eigenvalues, eigenvectors)`` (computed on first use when None).
-    ``free`` and ``sigma`` change as the run goes: ``sigma`` is the
-    conditional covariance of the ascending nodes ``free`` given the label
-    of every other node, built by the first :func:`teaching_matrix` call and
-    downdated by each later one.
+    A teacher judges from its learner's ``graph`` (whose Laplacian and
+    spectrum are cached on it) and ``kappa2`` alone, so learners with equal
+    Laplacians share one state; a second :func:`teaching_matrix` call with
+    the same anchors only reads it.  ``sigma`` is the conditional covariance
+    of the ascending nodes ``free`` given the label of every other node,
+    built by the first :func:`teaching_matrix` call and downdated by each
+    later one.
     """
 
-    laplacian: np.ndarray
-    commute: np.ndarray
+    graph: LearnerGraph
     kappa2: float
-    spectrum: tuple | None = None
     free: np.ndarray | None = field(default=None, init=False, repr=False)
     sigma: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 def make_teacher(graph: LearnerGraph, kappa2: float = 100.0) -> TeacherState:
-    """Bundle the GP precision inputs, spectrum and commute table for one teacher.
+    """A teacher that judges from ``graph``, with its spectrum computed now.
 
     The teacher judges from ``graph``'s Laplacian alone, so it may serve
-    every learner whose Laplacian equals that one.
+    every learner whose Laplacian equals that one.  The eigendecomposition
+    is forced here, so set-up, not the first round, pays for it.
 
     ``kappa2`` sharpens or flattens the prior; the Laplacian is PSD, so the
     precision is positive definite for any finite positive kappa2.
     """
     if kappa2 <= 0:
         raise ValueError("kappa2 must be positive")
-    spectrum = (graph.eigenvalues, graph.eigenvectors)
-    return TeacherState(graph.laplacian, commute_table(graph), kappa2, spectrum)
+    graph.eigenvectors  # the first read computes the spectrum and caches it on the graph
+    return TeacherState(graph, kappa2)
 
 
 def candidate_set(
@@ -142,11 +137,20 @@ def gap_matrix(
     commute times, floored at ``GAP_FLOOR``.  With fewer than two labeled
     classes there is nothing to discriminate between, so the penalty is
     disabled (all zeros) for this round.
+
+    With L+ = U diag(h) U^T (h = 1/lambda, 0 on zero modes), the mean commute
+    time from i to class c is L+_ii - 2 (L+ m_c)_i + mean_{j in c} L+_jj, m_c
+    the class's mean indicator; L+_ii is common to every class and dropped,
+    so a call costs O((|candidates| + |labeled|) n).
     """
     groups = [members for members in labeled_by_class.values() if len(members) > 0]
     if len(groups) < 2:
         return np.zeros((len(candidates), len(candidates)))
-    means = np.column_stack([teacher.commute[np.ix_(candidates, m)].mean(axis=1) for m in groups])
+    h, vectors = _inverse_spectrum(teacher.graph), teacher.graph.eigenvectors
+    candidate_rows = vectors[np.asarray(candidates, dtype=int)]
+    means = np.empty((len(candidates), len(groups)))
+    for at, rows in enumerate(vectors[np.asarray(members, dtype=int)] for members in groups):
+        means[:, at] = -2.0 * (candidate_rows @ (h * rows.mean(axis=0))) + ((rows * rows) @ h).mean()
     means.sort(axis=1)
     gaps = np.maximum(means[:, 1] - means[:, 0], GAP_FLOOR)
     return np.diag(1.0 / gaps)
@@ -154,11 +158,8 @@ def gap_matrix(
 
 def _prior_factor(teacher: TeacherState, nodes: np.ndarray) -> np.ndarray:
     """Rows ``nodes`` of V = U diag(1 / sqrt(lambda + 1/kappa2)), so V V^T is the prior covariance."""
-    if teacher.spectrum is None:
-        teacher.spectrum = np.linalg.eigh(teacher.laplacian)
-    eigenvalues, eigenvectors = teacher.spectrum
-    rows = eigenvectors[nodes]
-    rows *= 1.0 / np.sqrt(np.maximum(eigenvalues, 0.0) + 1.0 / teacher.kappa2)
+    rows = teacher.graph.eigenvectors[nodes]
+    rows *= 1.0 / np.sqrt(np.maximum(teacher.graph.eigenvalues, 0.0) + 1.0 / teacher.kappa2)
     return rows
 
 
@@ -188,7 +189,7 @@ def _condition(teacher: TeacherState, anchors: np.ndarray) -> None:
     only the new ones are downdated out; otherwise ``sigma`` is rebuilt from
     the prior.
     """
-    n = teacher.laplacian.shape[0]
+    n = teacher.graph.n
     anchored = np.zeros(n, dtype=bool)
     anchored[anchors] = True
     free = np.flatnonzero(~anchored)

@@ -17,6 +17,7 @@ import pytest
 
 import hydent.graph
 import hydent.run
+import hydent.teacher
 from hydent.data import SplitSpec, split, synth_noisy_gaussian
 from hydent.graph import assemble
 from hydent.teacher import gap_matrix, reliability_term
@@ -151,14 +152,14 @@ def test_scoring_downdates_instead_of_solving(monkeypatch):
 
     def spy(teacher, candidates, by_class):
         anchors = np.concatenate([np.asarray(v, dtype=int) for v in by_class.values()])
-        seen = None if teacher.free is None else teacher.laplacian.shape[0] - teacher.free.size
+        seen = None if teacher.free is None else teacher.graph.n - teacher.free.size
         sizes.clear()
         result = score(teacher, candidates, by_class)
         largest = max(sizes, default=0)
-        rel = reliability_term(teacher.laplacian, teacher.kappa2, candidates, anchors)
+        rel = reliability_term(teacher.graph.laplacian, teacher.kappa2, candidates, anchors)
         expected = rel + gap_matrix(teacher, candidates, by_class)
         np.testing.assert_allclose(result, expected, rtol=1e-10, atol=1e-10 * np.abs(rel).max())
-        rest = teacher.laplacian.shape[0] - anchors.size
+        rest = teacher.graph.n - anchors.size
         calls.append((seen, anchors.size, largest, rest))
         return result
 
@@ -171,6 +172,38 @@ def test_scoring_downdates_instead_of_solving(monkeypatch):
     assert len(calls) - len(later) == 1 and len(later) >= 6
     assert all(largest <= new for new, largest, _ in later)
     assert all(largest < rest for _, largest, rest in later)
+
+
+def test_teacher_reads_its_graph_and_builds_no_commute_table(monkeypatch):
+    # a teacher holds its learner's graph and no n x n array but its running
+    # covariance; class-mean commute times come from the graph's spectrum
+    make, build, table = hydent.run.make_teacher, hydent.run._build_graphs, hydent.graph.commute_table
+    graphs, teachers, tables = [], [], []
+
+    def spy_build(*args):
+        graphs.extend(build(*args))
+        return list(graphs)
+
+    def spy_make(graph, kappa2):
+        teachers.append(make(graph, kappa2))
+        return teachers[-1]
+
+    def spy_table(graph):
+        tables.append(graph)
+        return table(graph)
+
+    monkeypatch.setattr(hydent.run, "_build_graphs", spy_build)
+    monkeypatch.setattr(hydent.run, "make_teacher", spy_make)
+    for module in (hydent.graph, hydent.teacher):
+        monkeypatch.setattr(module, "commute_table", spy_table, raising=False)
+    dataset, labeled_idx, _, config = small_problem(seed=13, n=30)
+    result = run_hydent(dataset, labeled_idx, config)
+    assert len(result.rounds) > 1 and len(teachers) == 1 and not tables
+    teacher = teachers[0]
+    assert teacher.graph is graphs[0]
+    square = [f.name for f in dataclasses.fields(teacher)
+              if np.shape(getattr(teacher, f.name)) == (dataset.n, dataset.n)]
+    assert set(square) <= {"sigma"}
 
 
 def test_learners_with_one_laplacian_share_one_teacher(monkeypatch):
@@ -427,5 +460,3 @@ def test_paired_t_test_validation():
         paired_t_test([0.5], [0.4])
     with pytest.raises(ValueError):
         paired_t_test([0.5, 0.6], [0.4])
-    with pytest.raises(ValueError):
-        paired_t_test([0.5, 0.6], [0.4, 0.5], confidence=0.95)

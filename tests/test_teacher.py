@@ -3,13 +3,17 @@ from the GP precision, and commute-time discriminability.
 
 The two-node graph with a unit edge gives closed forms for everything:
 with kappa^2 = 100 the shifted Laplacian is [[1.01, -1], [-1, 1.01]],
-whose inverse has entries 1.01/0.0201 and 1/0.0201.
+whose inverse has entries 1.01/0.0201 and 1/0.0201.  On a unit-weight
+path the commute time between two nodes is their hop distance, so the
+discriminability cases are laid out on paths.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hydent.graph import assemble, knn_pattern, gaussian_weights
+from hydent.graph import assemble, commute_table, knn_pattern, gaussian_weights
 from hydent.teacher import (
     GAP_FLOOR,
     TeacherState,
@@ -24,9 +28,23 @@ TWO_NODE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def chain_graph(n):
-    W = np.zeros((n, n))
-    for i in range(n - 1):
-        W[i, i + 1] = W[i + 1, i] = 1.0
+    return path_graph(range(n))
+
+
+def path_graph(positions):
+    """Unit-weight path with node i at hop ``positions[i]``.
+
+    Nodes numbered from ``len(positions)`` on fill the hops no listed node
+    takes, in order, so the commute time between nodes i and j is
+    ``abs(positions[i] - positions[j])``.
+    """
+    positions = list(positions)
+    spare = iter(range(len(positions), max(positions) + 1))
+    at = dict(zip(positions, range(len(positions))))
+    order = [at[hop] if hop in at else next(spare) for hop in range(max(positions) + 1)]
+    W = np.zeros((len(order), len(order)))
+    for a, b in zip(order[:-1], order[1:]):
+        W[a, b] = W[b, a] = 1.0
     return assemble(W)
 
 
@@ -92,9 +110,12 @@ def test_make_teacher_bundles_state():
     g = assemble(TWO_NODE)
     teacher = make_teacher(g)
     assert isinstance(teacher, TeacherState)
+    assert [f.name for f in fields(teacher)] == ["graph", "kappa2", "free", "sigma"]
     assert teacher.kappa2 == 100.0
-    assert teacher.laplacian is g.laplacian
-    assert teacher.commute[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert teacher.graph is g
+    # the spectrum is computed by make_teacher, not by the first round
+    assert "_spectrum" in vars(g)
+    assert commute_table(teacher.graph)[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reliability_two_node_scalar():
@@ -221,60 +242,58 @@ def test_reliability_trace_shrinks_as_labels_grow():
 
 
 def test_class_gap_second_versus_first():
-    commute = np.zeros((4, 4))
-    commute[3, 0], commute[3, 1], commute[3, 2] = 1.0, 3.0, 2.0
-    teacher = TeacherState(np.eye(4), commute, 100.0)
+    # commute times from node 3 to nodes 0, 1, 2 are 1, 3, 2
+    teacher = make_teacher(path_graph([1, 3, 2, 0]))
     by_class = {0: [0], 1: [1], 2: [2]}
     np.testing.assert_allclose(gap_matrix(teacher, [3], by_class), [[1.0]])
 
 
 def test_class_gap_averages_class_members():
-    commute = np.zeros((5, 5))
-    commute[4, :4] = [1.0, 3.0, 10.0, 20.0]
-    teacher = TeacherState(np.eye(5), commute, 100.0)
+    # commute times from node 4 to nodes 0..3 are 1, 3, 10, 20
+    teacher = make_teacher(path_graph([1, 3, 10, 20, 0]))
     by_class = {0: [0, 1], 1: [2, 3]}  # means 2.0 and 15.0
     np.testing.assert_allclose(gap_matrix(teacher, [4], by_class), [[1.0 / 13.0]])
 
 
 def test_class_gap_tie_floors():
-    commute = np.zeros((3, 3))
-    commute[2, 0] = commute[2, 1] = 5.0
-    teacher = TeacherState(np.eye(3), commute, 100.0)
+    # node 2 sits halfway between nodes 0 and 1, 5 hops from each
+    teacher = make_teacher(path_graph([0, 10, 5]))
     assert gap_matrix(teacher, [2], {0: [0], 1: [1]})[0, 0] == 1.0 / GAP_FLOOR
 
 
 def test_class_gap_needs_two_classes():
     # One populated class gives no gap to measure; a member in a second class
-    # switches the penalty on.
-    commute = np.zeros((3, 3))
-    commute[2, 0], commute[2, 1] = 1.0, 3.0
-    teacher = TeacherState(np.eye(3), commute, 100.0)
+    # switches the penalty on.  Commute times from node 2 are 1 and 3.
+    teacher = make_teacher(path_graph([1, 3, 0]))
     np.testing.assert_array_equal(gap_matrix(teacher, [2], {0: [0], 1: []}), [[0.0]])
     np.testing.assert_allclose(gap_matrix(teacher, [2], {0: [0], 1: [1]}), [[0.5]])
 
 
 def test_gap_matrix_diagonal_inverse_gaps():
-    commute = np.zeros((4, 4))
-    commute[2, 0], commute[2, 1] = 1.0, 3.0  # gap 2
-    commute[3, 0], commute[3, 1] = 2.0, 6.0  # gap 4
-    teacher = TeacherState(np.eye(4), commute, 100.0)
+    # commute times: node 2 to nodes 0, 1 are 1, 3 (gap 2); node 3's are 2, 6 (gap 4)
+    teacher = make_teacher(path_graph([2, 6, 3, 0]))
     G = gap_matrix(teacher, [2, 3], {0: [0], 1: [1]})
     np.testing.assert_allclose(G, np.diag([0.5, 0.25]))
 
 
 def test_gap_matrix_matches_per_candidate_loop():
-    rng = np.random.default_rng(4)
-    g = random_graph(rng, 30)
-    teacher = make_teacher(g)
-    perm = rng.permutation(g.n)
-    by_class = {0: np.sort(perm[:3]), 1: np.sort(perm[3:7]), 2: np.sort(perm[7:12]), 3: []}
-    cand = perm[12:]
-    G = gap_matrix(teacher, cand, by_class)
-    np.testing.assert_array_equal(G, np.diag(1.0 / loop_gaps(teacher.commute, cand, by_class)))
+    # the closed form sums in another order than the all-pairs table, so the
+    # gaps agree to a tolerance: 1e-12 of the largest commute time (~4500 ulp)
+    for seed, split in ((4, False), (8, False), (9, True), (10, True)):
+        rng = np.random.default_rng(seed)
+        g = two_component_graph(rng, 30) if split else random_graph(rng, 30)
+        perm = rng.permutation(g.n)
+        by_class = {0: np.sort(perm[:3]), 1: np.sort(perm[3:7]), 2: np.sort(perm[7:12]), 3: []}
+        cand = perm[12:]
+        G = gap_matrix(make_teacher(g), cand, by_class)
+        table = commute_table(g)
+        np.testing.assert_array_equal(G, np.diag(np.diag(G)))
+        np.testing.assert_allclose(1.0 / np.diag(G), loop_gaps(table, cand, by_class),
+                                   rtol=0, atol=1e-12 * table.max())
 
 
 def test_gap_matrix_disabled_with_single_class():
-    teacher = TeacherState(np.eye(3), np.ones((3, 3)), 100.0)
+    teacher = make_teacher(chain_graph(3))
     for by_class in ({0: [0], 1: []}, {0: [0]}, {0: [0, 1], 1: [], 2: []}):
         G = gap_matrix(teacher, [1, 2], by_class)
         np.testing.assert_array_equal(G, np.zeros((2, 2)))
