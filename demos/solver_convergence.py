@@ -13,6 +13,8 @@ a random start ends in.
 Run:  python3 demos/solver_convergence.py
 """
 
+import math
+
 import numpy as np
 
 from hydent import (
@@ -24,10 +26,11 @@ from hydent import (
     easiest_start,
     flap_style_weights,
     gaussian_weights,
-    initial_size,
     knn_pattern,
     make_teacher,
+    next_size,
     split,
+    squared_distances,
     synth_noisy_gaussian,
     teaching_matrix,
 )
@@ -39,7 +42,8 @@ def main():
     dataset = synth_noisy_gaussian(100, 1.0, seed=0)
     labeled_idx, unlabeled_idx = split(dataset, SplitSpec(1, seed=0))
 
-    weights = gaussian_weights(knn_pattern(dataset.features, config.k), dataset.features, config.sigma)
+    sq = squared_distances(dataset.features)
+    weights = gaussian_weights(knn_pattern(sq, config.k), sq, config.sigma)
     graphs = [assemble(weights), assemble(flap_style_weights(weights))]
     # the flap learner only adds self-loops, which stay out of its Laplacian,
     # so as in a run both learners share one frontier and one teacher
@@ -49,7 +53,7 @@ def main():
     candidates = candidate_set(graphs[:1], labeled_idx, unlabeled_idx)
     by_class = {c: labeled_idx[dataset.labels[labeled_idx] == c] for c in range(2)}
     r_list = [teaching_matrix(teacher, candidates, by_class)] * len(graphs)
-    s = initial_size(candidates.size, config.gamma)
+    s = next_size(candidates.size, math.exp(-config.gamma))  # the first round's feedback
     print(f"frontier of {candidates.size} candidates, curriculum size {s}")
 
     solution = bcd_solve(r_list, config.beta0, config.beta1, s, init=easiest_start(r_list, s))

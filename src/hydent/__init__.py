@@ -17,19 +17,17 @@ from .data import (
     split,
     synth_noisy_gaussian,
 )
-from .feedback import feedback_value, initial_size, next_size
+from .feedback import feedback_value, next_size
 from .graph import (
     LearnerGraph,
     assemble,
     commute_table,
-    commute_time,
-    dump_edges,
     flap_style_weights,
     gaussian_weights,
     knn_pattern,
     squared_distances,
 )
-from .propagate import final_labels, init_labels, propagate_round, save_scores, steady_state
+from .propagate import final_labels, init_labels, propagate_round, steady_state
 from .run import (
     RunConfig,
     RunResult,
@@ -81,8 +79,6 @@ __all__ = [
     "bcd_solve",
     "candidate_set",
     "commute_table",
-    "commute_time",
-    "dump_edges",
     "easiest_start",
     "evaluate",
     "exact_step",
@@ -94,7 +90,6 @@ __all__ = [
     "gaussian_weights",
     "gradient",
     "init_labels",
-    "initial_size",
     "knn_pattern",
     "l21_norm",
     "l21_weight_matrix",
@@ -110,7 +105,6 @@ __all__ = [
     "run_baseline",
     "run_hydent",
     "save_csv",
-    "save_scores",
     "split",
     "squared_distances",
     "steady_state",

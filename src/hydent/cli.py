@@ -19,20 +19,12 @@ from dataclasses import fields
 from .data import SplitSpec, load_csv, save_csv, split, synth_noisy_gaussian
 from .run import (
     RunConfig,
+    _parse_variant,
     paired_t_test,
     result_to_json,
     run_baseline,
     write_bcd_trace_csv,
     write_rounds_csv,
-)
-
-DEFAULT_VARIANTS = (
-    "hydent",
-    "hybrid-no-teaching",
-    "single-teacher-gaussian",
-    "single-teacher-flap",
-    "single-learner-gaussian",
-    "single-learner-flap",
 )
 
 
@@ -90,8 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeats", type=int, default=10)
     p_bench.add_argument("--seeds", type=int, nargs="+",
                          help="one seed per repeat (default: 0..repeats-1)")
-    p_bench.add_argument("--variants", default=",".join(DEFAULT_VARIANTS),
-                         help="comma-separated variant names")
+    p_bench.add_argument("--variants",
+                         help="comma-separated variant names (default: hydent, hybrid-no-teaching, "
+                              "then single-teacher-<k> and single-learner-<k> for each kernel k)")
     p_bench.add_argument("--out", required=True, help="results CSV path")
     p_bench.add_argument("--header", action="store_true", help="dataset CSV has a header line")
     _add_config_flags(p_bench)
@@ -125,9 +118,16 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     dataset = load_csv(args.data, header=args.header)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    kernels = _config_from(args).kernels
+    if args.variants is None:
+        variants = ["hydent", "hybrid-no-teaching"]
+        variants += [f"single-{role}-{kernel}" for role in ("teacher", "learner") for kernel in kernels]
+    else:
+        variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ValueError("no variants given")
+    for variant in variants:
+        _parse_variant(variant, kernels)  # an unknown name fails before any run
     if args.repeats < 1:
         raise ValueError("repeats must be positive")
     seeds = args.seeds if args.seeds is not None else list(range(args.repeats))

@@ -57,12 +57,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def labeled_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels != UNLABELED)
-
-    def unlabeled_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == UNLABELED)
-
 
 @dataclass(frozen=True)
 class SplitSpec:

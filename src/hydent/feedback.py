@@ -4,7 +4,9 @@ After a round, the freshly learned rows' score entropy measures how
 confident the ensemble was.  The feedback value g is exp of the mean
 negative entropy (base class-count, scaled by gamma), so g = 1 for
 perfectly one-hot rows and exp(-gamma) for rows still at the uniform
-prior.  The next curriculum size is the next pool size shrunk by g.
+prior.  The next curriculum size is the next pool size shrunk by g; the
+first round, before any feedback exists, takes g = exp(-gamma), as if the
+learners were still at the uniform prior.
 """
 
 from __future__ import annotations
@@ -31,17 +33,6 @@ def feedback_value(scores: np.ndarray, class_count: int, gamma: float = 0.5) -> 
     inner[positive] = scores[positive] * np.log(scores[positive])
     total = inner.sum() / math.log(class_count)
     return float(math.exp(gamma * total / scores.shape[0]))
-
-
-def initial_size(pool_size: int, gamma: float = 0.5) -> int:
-    """Curriculum size for the first round, before any feedback exists.
-
-    Uses the worst-case feedback exp(-gamma), i.e. assumes the learners
-    start from the uniform prior.
-    """
-    if pool_size < 0:
-        raise ValueError("pool size must be nonnegative")
-    return math.ceil(pool_size * math.exp(-gamma))
 
 
 def next_size(pool_size: int, g: float) -> int:

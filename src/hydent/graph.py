@@ -2,10 +2,10 @@
 
 Each learner propagates on its own weighted graph.  This module builds the
 k-nearest-neighbor edge pattern, fills in edge weights (plain Gaussian
-kernel, or the same weights plus proportional self-loops), and precomputes
-the degree vector and row-stochastic iteration matrix.  The Laplacian and
-its eigendecomposition, which only teachers read, are computed the first
-time something reads them, so runs without teachers never pay for either.
+kernel, or the same weights plus self-loops), and precomputes the degree
+vector and row-stochastic iteration matrix.  The Laplacian and its
+eigendecomposition, which only teachers read, are computed the first time
+something reads them, so runs without teachers never pay for either.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ class LearnerGraph:
 
     ``laplacian`` comes from the off-diagonal weights alone.  ``eigenvalues``
     are ascending; ``eigenvectors[:, k]`` is the orthonormal eigenvector for
-    ``eigenvalues[k]``.  Each is computed on its first read and then kept.
+    ``eigenvalues[k]``.  Each is computed on its first read and then kept,
+    as is ``pseudo_diagonal``.
     """
 
     adjacency: np.ndarray
@@ -51,6 +52,11 @@ class LearnerGraph:
     def eigenvectors(self) -> np.ndarray:
         return self._spectrum[1]
 
+    @cached_property
+    def pseudo_diagonal(self) -> np.ndarray:
+        """L+_jj, the diagonal of the Laplacian's pseudoinverse, from the spectrum."""
+        return (self.eigenvectors * self.eigenvectors) @ _inverse_spectrum(self)
+
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
@@ -64,37 +70,36 @@ def squared_distances(features: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
-def knn_pattern(features: np.ndarray, k: int) -> np.ndarray:
-    """Boolean symmetric k-nearest-neighbor edge pattern.
+def knn_pattern(sq: np.ndarray, k: int) -> np.ndarray:
+    """Boolean symmetric k-nearest-neighbor edge pattern from squared distances.
 
     An edge {i, j} exists when j is among i's k nearest neighbors or vice
     versa (union symmetrization).  Distance ties are broken toward the
     lower index; self-edges are never part of the pattern.
     """
-    features = np.asarray(features, dtype=float)
-    n = features.shape[0]
+    masked = np.array(sq, dtype=float)
+    n = masked.shape[0]
     if k < 1:
         raise ValueError("k must be positive")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the number of points n={n}")
-    sq = squared_distances(features)
-    np.fill_diagonal(sq, np.inf)
+    np.fill_diagonal(masked, np.inf)
     # Stable sort keeps index order on ties, so the lower index wins.
-    order = np.argsort(sq, axis=1, kind="stable")[:, :k]
+    order = np.argsort(masked, axis=1, kind="stable")[:, :k]
     pattern = np.zeros((n, n), dtype=bool)
     rows = np.repeat(np.arange(n), k)
     pattern[rows, order.ravel()] = True
     return pattern | pattern.T
 
 
-def gaussian_weights(pattern: np.ndarray, features: np.ndarray, sigma: float) -> np.ndarray:
+def gaussian_weights(pattern: np.ndarray, sq: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian kernel weights exp(-||xi-xj||^2 / (2 sigma^2)) on pattern edges.
 
-    Fails when sigma is so small that all of some node's edge weights underflow to 0.
+    ``sq`` holds the squared distances.  Fails when sigma is so small that
+    all of some node's edge weights underflow to 0.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    sq = squared_distances(features)
     weights = np.where(pattern, np.exp(-sq / (2.0 * sigma**2)), 0.0)
     np.fill_diagonal(weights, 0.0)
     lost = pattern.any(axis=1) & ~weights.any(axis=1)
@@ -107,21 +112,19 @@ def gaussian_weights(pattern: np.ndarray, features: np.ndarray, sigma: float) ->
     return weights
 
 
-def flap_style_weights(weights: np.ndarray, self_loop: float = 1.0) -> np.ndarray:
-    """A copy of Gaussian kernel weights plus a proportional self-loop on each node.
+def flap_style_weights(weights: np.ndarray) -> np.ndarray:
+    """A copy of Gaussian kernel weights plus a self-loop on each node.
 
-    The diagonal entry of row i is ``self_loop`` times the strongest edge
-    weight incident to i; an isolated row falls back to the kernel's value
-    at zero distance (1.0) so the self-loop stays positive.  Off-diagonal
-    weights are kept exactly, so both graphs share one Laplacian.
+    The diagonal entry of row i is the strongest edge weight incident to i;
+    an isolated row falls back to the kernel's value at zero distance (1.0)
+    so the self-loop stays positive.  Off-diagonal weights are kept exactly,
+    so both graphs share one Laplacian.
     """
-    if self_loop < 0:
-        raise ValueError("self_loop must be nonnegative")
     looped = np.array(weights, dtype=float)
     np.fill_diagonal(looped, 0.0)
     row_max = looped.max(axis=1)
     row_max[row_max == 0.0] = 1.0
-    np.fill_diagonal(looped, self_loop * row_max)
+    np.fill_diagonal(looped, row_max)
     return looped
 
 
@@ -138,8 +141,9 @@ def assemble(adjacency: np.ndarray) -> LearnerGraph:
     W = np.asarray(adjacency, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError("adjacency must be square")
-    asym = np.abs(W - W.T)
-    if np.any(asym > 1e-12 * np.maximum(1.0, np.abs(W))):
+    # the tolerance is only evaluated where W and W.T differ, so no float n x n temporary is made
+    rows, cols = np.nonzero(W != W.T)
+    if np.any(np.abs(W[rows, cols] - W[cols, rows]) > 1e-12 * np.maximum(1.0, np.abs(W[rows, cols]))):
         raise ValueError("adjacency must be symmetric")
     if np.any(W < 0):
         raise ValueError("adjacency must be nonnegative")
@@ -168,18 +172,6 @@ def _inverse_spectrum(graph: LearnerGraph) -> np.ndarray:
     return h
 
 
-def commute_time(graph: LearnerGraph, i: int, j: int) -> float:
-    """Commute time between nodes i and j from the Laplacian spectrum.
-
-    Spectrally this is sum_k h(lambda_k) (u_ki - u_kj)^2 with h = 1/lambda
-    on nonzero modes, which coincides with the effective resistance
-    between i and j on a connected graph.
-    """
-    h = _inverse_spectrum(graph)
-    diff = graph.eigenvectors[i] - graph.eigenvectors[j]
-    return float(np.sum(h * diff * diff))
-
-
 def commute_table(graph: LearnerGraph) -> np.ndarray:
     """All-pairs commute times as one symmetric matrix with zero diagonal."""
     h = _inverse_spectrum(graph)
@@ -189,11 +181,3 @@ def commute_table(graph: LearnerGraph) -> np.ndarray:
     table = diag[:, None] + diag[None, :] - 2.0 * pseudo
     np.fill_diagonal(table, 0.0)
     return np.maximum(table, 0.0)
-
-
-def dump_edges(adjacency: np.ndarray, path) -> None:
-    """Write the weighted edge list as one "i j w" line per edge."""
-    W = np.asarray(adjacency)
-    with open(path, "w", encoding="utf-8") as handle:
-        for i, j in zip(*np.nonzero(np.triu(W))):
-            handle.write(f"{i} {j} {float(W[i, j])!r}\n")

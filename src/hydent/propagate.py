@@ -87,10 +87,3 @@ def final_labels(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     given = labels >= 0
     decided[given] = labels[given]
     return decided
-
-
-def save_scores(scores: np.ndarray, path) -> None:
-    """Write a score matrix as plain CSV, one node per row."""
-    with open(path, "w") as handle:
-        for row in np.asarray(scores, dtype=float):
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .feedback import feedback_value, initial_size, next_size
-from .graph import assemble, flap_style_weights, gaussian_weights, knn_pattern, same_edges
+from .feedback import feedback_value, next_size
+from .graph import assemble, flap_style_weights, gaussian_weights, knn_pattern, same_edges, squared_distances
 from .propagate import final_labels, init_labels, propagate_round, steady_state
 from .teacher import candidate_set, make_teacher, teaching_matrix
 from .teaching import bcd_solve, easiest_start
@@ -121,7 +121,8 @@ def evaluate(predictions, truth, unlabeled_idx) -> float:
 
 def _build_graphs(features, kernels, config):
     # Every kernel keeps the Gaussian edge weights; flap only adds self-loops.
-    weights = gaussian_weights(knn_pattern(features, config.k), features, config.sigma)
+    sq = squared_distances(features)
+    weights = gaussian_weights(knn_pattern(sq, config.k), sq, config.sigma)
     return [assemble(weights if kernel == "gaussian" else flap_style_weights(weights)) for kernel in kernels]
 
 
@@ -143,10 +144,8 @@ def _parse_variant(variant, kernels):
             tag = variant[len(prefix):]
             if tag in kernels:
                 return (tag,), teaching, 0.0 if teaching else None
-            if tag.isdigit() and 1 <= int(tag) <= len(kernels):
-                return (kernels[int(tag) - 1],), teaching, 0.0 if teaching else None
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS} "
-                     f"with <kernel> a configured kernel name or 1-based position")
+                     f"with <kernel> one of the configured kernels {tuple(kernels)}")
 
 
 def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, round_hook):
@@ -179,15 +178,13 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
     uniform = np.full(len(kernels), 1.0 / len(kernels))
 
     records = []
-    feedback = None
+    feedback = math.exp(-config.gamma)  # the first round's: rows still at the uniform prior
     while remaining.size:
         tick = time.perf_counter()
         anchors = np.sort(np.concatenate([labeled_idx, learned]))
         candidates = candidate_set(edges, anchors, remaining)
-        pool = size = candidates.size
-        if teaching:
-            want = initial_size(pool, config.gamma) if feedback is None else next_size(pool, feedback)
-            size = min(want, pool)
+        pool = candidates.size
+        size = next_size(pool, feedback) if teaching else pool
         if size < pool:
             by_class = _classes_so_far(masked, learned, scores, c)
             scored = [teaching_matrix(teacher, candidates, by_class) for teacher in teachers]

@@ -14,11 +14,10 @@ block of (Q_RR)^-1, R being the nodes not yet anchored (Rue & Held, *Gaussian
 Markov Random Fields*, 2005, ch. 2).  ``reliability_term`` solves that
 directly.  Within a run each teacher instead keeps the running conditional
 covariance Sigma of R: its first ``teaching_matrix`` call builds the prior
-U diag(1 / (lambda + 1/kappa2)) U^T from the Laplacian spectrum and
-conditions it on the given labels, and each later call removes only the
-nodes anchored since, by the Schur downdate
-Sigma <- Sigma - Sigma_.C Sigma_CC^-1 Sigma_C., so a round costs
-O(|R|^2 |C|) instead of an O(|R|^3) solve.
+U diag(1 / (lambda + 1/kappa2)) U^T over every node from the Laplacian
+spectrum, and every call removes the nodes anchored since, by the Schur
+downdate Sigma <- Sigma - Sigma_.C Sigma_CC^-1 Sigma_C., so a later round
+costs O(|R|^2 |C|) instead of an O(|R|^3) solve.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ class TeacherState:
     spectrum are cached on it) and ``kappa2`` alone, so learners with equal
     Laplacians share one state; a second :func:`teaching_matrix` call with
     the same anchors only reads it.  ``sigma`` is the conditional covariance
-    of the ascending nodes ``free`` given the label of every other node,
-    built by the first :func:`teaching_matrix` call and downdated by each
-    later one.
+    of the ascending nodes ``free`` given the label of every other node:
+    the first :func:`teaching_matrix` call starts it from the prior, and
+    every call downdates it.
     """
 
     graph: LearnerGraph
@@ -62,14 +61,15 @@ def make_teacher(graph: LearnerGraph, kappa2: float = 100.0) -> TeacherState:
 
     The teacher judges from ``graph``'s Laplacian alone, so it may serve
     every learner whose Laplacian equals that one.  The eigendecomposition
-    is forced here, so set-up, not the first round, pays for it.
+    and the pseudoinverse's diagonal are forced here, so set-up, not the
+    first round, pays for them.
 
     ``kappa2`` sharpens or flattens the prior; the Laplacian is PSD, so the
     precision is positive definite for any finite positive kappa2.
     """
     if kappa2 <= 0:
         raise ValueError("kappa2 must be positive")
-    graph.eigenvectors  # the first read computes the spectrum and caches it on the graph
+    graph.pseudo_diagonal  # the first read computes the spectrum and L+'s diagonal and caches both
     return TeacherState(graph, kappa2)
 
 
@@ -141,16 +141,18 @@ def gap_matrix(
     With L+ = U diag(h) U^T (h = 1/lambda, 0 on zero modes), the mean commute
     time from i to class c is L+_ii - 2 (L+ m_c)_i + mean_{j in c} L+_jj, m_c
     the class's mean indicator; L+_ii is common to every class and dropped,
-    so a call costs O((|candidates| + |labeled|) n).
+    and L+_jj is read from the graph's cached ``pseudo_diagonal``, so a call
+    costs O((|candidates| + |labeled|) n).
     """
     groups = [members for members in labeled_by_class.values() if len(members) > 0]
     if len(groups) < 2:
         return np.zeros((len(candidates), len(candidates)))
-    h, vectors = _inverse_spectrum(teacher.graph), teacher.graph.eigenvectors
+    graph = teacher.graph
+    h, vectors, diagonal = _inverse_spectrum(graph), graph.eigenvectors, graph.pseudo_diagonal
     candidate_rows = vectors[np.asarray(candidates, dtype=int)]
     means = np.empty((len(candidates), len(groups)))
-    for at, rows in enumerate(vectors[np.asarray(members, dtype=int)] for members in groups):
-        means[:, at] = -2.0 * (candidate_rows @ (h * rows.mean(axis=0))) + ((rows * rows) @ h).mean()
+    for at, members in enumerate(np.asarray(members, dtype=int) for members in groups):
+        means[:, at] = -2.0 * (candidate_rows @ (h * vectors[members].mean(axis=0))) + diagonal[members].mean()
     means.sort(axis=1)
     gaps = np.maximum(means[:, 1] - means[:, 0], GAP_FLOOR)
     return np.diag(1.0 / gaps)
@@ -186,27 +188,24 @@ def _condition(teacher: TeacherState, anchors: np.ndarray) -> None:
     """Bring ``teacher.sigma`` to the covariance of the nodes outside ``anchors``.
 
     When the anchors include every node ``sigma`` is already conditioned on,
-    only the new ones are downdated out; otherwise ``sigma`` is rebuilt from
-    the prior.
+    only the new ones are downdated out; otherwise ``sigma`` restarts from
+    the prior over every node and all anchors are downdated out.
     """
     n = teacher.graph.n
     anchored = np.zeros(n, dtype=bool)
     anchored[anchors] = True
-    free = np.flatnonzero(~anchored)
-    # a superset: every node outside teacher.free is still anchored
-    if teacher.sigma is not None and anchored.sum() - anchored[teacher.free].sum() == n - teacher.free.size:
-        drop = anchored[teacher.free]
-        if drop.any():
-            new, keep = np.flatnonzero(drop), np.flatnonzero(~drop)
-            sigma = teacher.sigma
-            teacher.sigma = _schur_downdate(sigma, keep, sigma[np.ix_(new, keep)], sigma[np.ix_(new, new)])
-    else:
-        factor = _prior_factor(teacher, free)
-        given = _prior_factor(teacher, np.flatnonzero(anchored))
-        cross, prior = given @ factor.T, factor @ factor.T
+    # not a superset: some node outside teacher.free is no longer anchored
+    if teacher.sigma is None or anchored.sum() - anchored[teacher.free].sum() != n - teacher.free.size:
+        teacher.free = np.arange(n)
+        factor = _prior_factor(teacher, teacher.free)
+        teacher.sigma = factor @ factor.T
         del factor
-        teacher.sigma = _schur_downdate(prior, np.arange(free.size), cross, given @ given.T)
-    teacher.free = free
+    drop = anchored[teacher.free]
+    if drop.any():
+        new, keep = np.flatnonzero(drop), np.flatnonzero(~drop)
+        sigma = teacher.sigma
+        teacher.sigma = _schur_downdate(sigma, keep, sigma[np.ix_(new, keep)], sigma[np.ix_(new, new)])
+        teacher.free = teacher.free[keep]
 
 
 def teaching_matrix(

@@ -140,6 +140,27 @@ def test_bench_single_repeat_has_zero_std(tmp_path):
     assert all(line.split(",")[4] == "0.0" for line in summary)
 
 
+def test_bench_default_variants_follow_the_kernels(tmp_path, capsys):
+    # with one kernel the default sweep has no variant of an unconfigured kernel
+    data = synth(tmp_path)
+    path = tmp_path / "one-kernel.csv"
+    assert main(["bench", "--data", str(data), "--k", "4", "--repeats", "1",
+                 "--kernels", "gaussian", "--out", str(path)]) == 0
+    variants = [line.split(",")[0] for line in path.read_text().splitlines() if ",summary," in line]
+    assert variants == ["hydent", "hybrid-no-teaching", "single-teacher-gaussian", "single-learner-gaussian"]
+
+
+def test_bench_rejects_unknown_variant_before_any_run(tmp_path, capsys, monkeypatch):
+    data = synth(tmp_path)
+    runs = []
+    monkeypatch.setattr(hydent.cli, "run_baseline", lambda *args: runs.append(args))
+    for variants in ("hydent,mystery", "hydent,single-learner-1", "single-teacher-flap"):
+        code = main(["bench", "--data", str(data), "--repeats", "1", "--kernels", "gaussian",
+                     "--variants", variants, "--out", str(tmp_path / "x.csv")])
+        assert code == 1 and "unknown variant" in capsys.readouterr().err
+    assert runs == [] and not (tmp_path / "x.csv").exists()
+
+
 def test_bench_seed_list_must_match_repeats(tmp_path, capsys):
     data = synth(tmp_path)
     code = main(["bench", "--data", str(data), "--labeled-per-class", "1",

