@@ -5,10 +5,10 @@ graphs from one set of Gaussian weights, the one frontier and teacher
 their shared Laplacian gives them, and the teacher's score matrix, once
 per learner.  Then solves the joint selection problem and prints the
 objective trace, which must fall monotonically (that is the solver's
-contract, asserted at the end).  The solve starts where a run starts it, at each score
-matrix's easiest candidates; the curriculum is compared with the naive
-strategy of just taking the smallest score diagonals, and with the one
-a random start ends in.
+contract, asserted at the end).  The solve starts where it starts in a run,
+at each score matrix's easiest candidates; the curriculum is compared with
+the naive strategy of just taking the smallest score diagonals, and with
+the one the solve ends in from an explicit random start.
 
 Run:  python3 demos/solver_convergence.py
 """
@@ -23,7 +23,6 @@ from hydent import (
     assemble,
     bcd_solve,
     candidate_set,
-    easiest_start,
     flap_style_weights,
     gaussian_weights,
     knn_pattern,
@@ -56,7 +55,7 @@ def main():
     s = next_size(candidates.size, math.exp(-config.gamma))  # the first round's feedback
     print(f"frontier of {candidates.size} candidates, curriculum size {s}")
 
-    solution = bcd_solve(r_list, config.beta0, config.beta1, s, init=easiest_start(r_list, s))
+    solution = bcd_solve(r_list, config.beta0, config.beta1, s)
     trace = np.asarray(solution.objective_trace)
     print(f"\nobjective: {trace[0]:.1f} -> {trace[-1]:.1f} "
           f"over {len(trace) - 1} sweeps (converged: {solution.converged})")
@@ -71,7 +70,8 @@ def main():
     overlap = np.intersect1d(chosen, naive).size
     print(f"\ncurriculum {np.sort(chosen)} ({taught} of {s} requested survived)")
     print(f"smallest-diagonal pick would share {overlap}/{taught} members")
-    drawn = candidates[bcd_solve(r_list, config.beta0, config.beta1, s, init_seed=0).curriculum]
+    random_start = np.random.default_rng(0).random((len(r_list), candidates.size, s))
+    drawn = candidates[bcd_solve(r_list, config.beta0, config.beta1, s, init=random_start).curriculum]
     print(f"from a random start the solve keeps {np.intersect1d(drawn, naive).size}/{drawn.size} "
           "of them: the penalties hold it near where it starts")
 

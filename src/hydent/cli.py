@@ -14,7 +14,7 @@ import csv
 import os
 import statistics
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .data import SplitSpec, load_csv, save_csv, split, synth_noisy_gaussian
 from .run import (
@@ -39,20 +39,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta1", type=float, default=base.beta1, help="binary/orthogonality weight")
     parser.add_argument("--gamma", type=float, default=base.gamma, help="feedback sharpness")
     parser.add_argument("--theta", type=float, default=base.theta, help="diffusion damping")
-    parser.add_argument("--threshold", type=float, default=base.threshold,
-                        help="selection magnitude cutoff")
-    parser.add_argument("--zeta", type=float, default=base.zeta, help="row-norm regularizer offset")
-    parser.add_argument("--epsilon-bcd", type=float, default=base.epsilon_bcd,
-                        help="solver movement tolerance")
-    parser.add_argument("--iter-max", type=int, default=base.iter_max, help="solver sweep cap")
     parser.add_argument("--seed", type=int, default=base.seed, help="split seed")
 
 
-def _config_from(args, seed=None) -> RunConfig:
+def _config_from(args) -> RunConfig:
     values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     values["kernels"] = tuple(k.strip() for k in args.kernels.split(",") if k.strip())
-    if seed is not None:
-        values["seed"] = seed
     return RunConfig(**values)
 
 
@@ -118,16 +110,17 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     dataset = load_csv(args.data, header=args.header)
-    kernels = _config_from(args).kernels
+    config = _config_from(args)
     if args.variants is None:
         variants = ["hydent", "hybrid-no-teaching"]
-        variants += [f"single-{role}-{kernel}" for role in ("teacher", "learner") for kernel in kernels]
+        variants += [f"single-{role}-{kernel}"
+                     for role in ("teacher", "learner") for kernel in config.kernels]
     else:
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ValueError("no variants given")
     for variant in variants:
-        _parse_variant(variant, kernels)  # an unknown name fails before any run
+        _parse_variant(variant, config)  # an unknown name fails before any run
     if args.repeats < 1:
         raise ValueError("repeats must be positive")
     seeds = args.seeds if args.seeds is not None else list(range(args.repeats))
@@ -139,9 +132,8 @@ def cmd_bench(args) -> int:
     for variant in variants:
         for l in args.labeled_per_class:
             for repeat, seed in enumerate(seeds):
-                config = _config_from(args, seed=seed)
                 labeled_idx, _ = split(dataset, SplitSpec(l, seed=seed))
-                result = run_baseline(dataset, labeled_idx, config, variant)
+                result = run_baseline(dataset, labeled_idx, replace(config, seed=seed), variant)
                 rows.append((variant, l, repeat, seed, result.accuracy))
                 cells.setdefault((variant, l), []).append(result.accuracy)
 

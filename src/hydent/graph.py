@@ -100,7 +100,8 @@ def gaussian_weights(pattern: np.ndarray, sq: np.ndarray, sigma: float) -> np.nd
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    weights = np.where(pattern, np.exp(-sq / (2.0 * sigma**2)), 0.0)
+    weights = np.zeros(sq.shape)
+    weights[pattern] = np.exp(-sq[pattern] / (2.0 * sigma**2))
     np.fill_diagonal(weights, 0.0)
     lost = pattern.any(axis=1) & ~weights.any(axis=1)
     if lost.any():

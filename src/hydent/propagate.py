@@ -68,12 +68,13 @@ def steady_state(iteration: np.ndarray, scores: np.ndarray, theta: float) -> np.
     """Limit of the damped diffusion F <- theta P F + (1 - theta) F0.
 
     Solved directly as (I - theta P) X = (1 - theta) F0, which is well
-    posed for 0 <= theta < 1 because P is row-stochastic.
+    posed for 0 <= theta < 1 because P is row-stochastic.  The system is
+    built in one n x n buffer.
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
-    n = iteration.shape[0]
-    system = np.eye(n) - theta * iteration
+    system = iteration * -theta
+    np.fill_diagonal(system, system.diagonal() + 1.0)
     return np.linalg.solve(system, (1.0 - theta) * scores)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .feedback import feedback_value, next_size
 from .graph import assemble, flap_style_weights, gaussian_weights, knn_pattern, same_edges, squared_distances
 from .propagate import final_labels, init_labels, propagate_round, steady_state
 from .teacher import candidate_set, make_teacher, teaching_matrix
-from .teaching import bcd_solve, easiest_start
+from .teaching import bcd_solve
 
 KNOWN_KERNELS = ("gaussian", "flap")
 
@@ -51,10 +51,6 @@ class RunConfig:
     beta1: float = 100.0
     gamma: float = 0.5
     theta: float = 0.05
-    threshold: float = 0.001
-    zeta: float = 1e-8
-    epsilon_bcd: float = 1e-4
-    iter_max: int = 300
     # Seeds the labeled split the CLI draws; a run itself draws no random numbers.
     seed: int = 0
 
@@ -68,10 +64,11 @@ class RunConfig:
             raise ValueError("k, sigma and kappa2 must be positive")
         if self.beta0 < 0 or self.beta1 < 0 or self.gamma <= 0:
             raise ValueError("beta0 and beta1 must be nonnegative, gamma positive")
+        if math.exp(-self.gamma) == 0.0:
+            raise ValueError(f"gamma={self.gamma} is too large: the first round's feedback, "
+                             "exp(-gamma), underflows to 0")
         if not 0.0 <= self.theta < 1.0:
             raise ValueError("theta must lie in [0, 1)")
-        if self.threshold < 0 or self.zeta <= 0 or self.epsilon_bcd <= 0 or self.iter_max < 1:
-            raise ValueError("threshold must be nonnegative, zeta, epsilon_bcd and iter_max positive")
 
 
 @dataclass(frozen=True)
@@ -97,6 +94,13 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class RunResult:
+    """Outcome of one run.
+
+    ``config`` is the configuration the variant ran with: a single-teacher
+    or single-learner variant's names its one kernel, and a single
+    teacher's has the row coupling ``beta0`` at zero.
+    """
+
     variant: str
     predictions: np.ndarray
     accuracy: float
@@ -119,11 +123,13 @@ def evaluate(predictions, truth, unlabeled_idx) -> float:
     return float(np.mean(predictions[unlabeled_idx] == truth[unlabeled_idx]))
 
 
-def _build_graphs(features, kernels, config):
+def _build_graphs(features, config):
     # Every kernel keeps the Gaussian edge weights; flap only adds self-loops.
     sq = squared_distances(features)
     weights = gaussian_weights(knn_pattern(sq, config.k), sq, config.sigma)
-    return [assemble(weights if kernel == "gaussian" else flap_style_weights(weights)) for kernel in kernels]
+    del sq  # the graphs need only the weights
+    return [assemble(weights if kernel == "gaussian" else flap_style_weights(weights))
+            for kernel in config.kernels]
 
 
 def _classes_so_far(masked, learned, scores, class_count):
@@ -133,22 +139,20 @@ def _classes_so_far(masked, learned, scores, class_count):
     return {c: np.flatnonzero(owner == c) for c in range(class_count)}
 
 
-def _parse_variant(variant, kernels):
-    """Map a variant name to (kernels, teaching on, beta0 override)."""
-    if variant == "hydent":
-        return tuple(kernels), True, None
-    if variant == "hybrid-no-teaching":
-        return tuple(kernels), False, None
+def _parse_variant(variant, config):
+    """Map a variant name to (the config it runs with, teaching on)."""
+    if variant in ("hydent", "hybrid-no-teaching"):
+        return config, variant == "hydent"
     for prefix, teaching in (("single-teacher-", True), ("single-learner-", False)):
         if variant.startswith(prefix):
             tag = variant[len(prefix):]
-            if tag in kernels:
-                return (tag,), teaching, 0.0 if teaching else None
+            if tag in config.kernels:
+                return replace(config, kernels=(tag,), beta0=0.0 if teaching else config.beta0), teaching
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS} "
-                     f"with <kernel> one of the configured kernels {tuple(kernels)}")
+                     f"with <kernel> one of the configured kernels {config.kernels}")
 
 
-def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, round_hook):
+def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
     started = time.perf_counter()
     labeled_idx = np.asarray(labeled_idx, dtype=int)
     n = dataset.n
@@ -158,7 +162,7 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
     if np.any(dataset.labels[labeled_idx] < 0):
         raise ValueError("labeled indices must carry known classes")
 
-    graphs = _build_graphs(dataset.features, kernels, config)
+    graphs = _build_graphs(dataset.features, config)
     iterations = [g.iteration for g in graphs]
     # Learners whose graphs differ only in self-loops have one Laplacian, so
     # one frontier and one teacher: learner i belongs to the group of edges[group[i]].
@@ -168,6 +172,7 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
         if not same:
             edges.append(graph)
         group.append(same[0] if same else len(edges) - 1)
+    del graphs, graph  # a learner outside ``edges`` needs only its iteration matrix
     teachers = [make_teacher(graph, config.kappa2) for graph in edges] if teaching else None
 
     start = init_labels(masked, c)
@@ -175,7 +180,7 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
     learned = np.empty(0, dtype=int)
     remaining = np.setdiff1d(np.arange(n), labeled_idx)
     unlabeled0 = remaining.copy()
-    uniform = np.full(len(kernels), 1.0 / len(kernels))
+    uniform = np.full(len(iterations), 1.0 / len(iterations))
 
     records = []
     feedback = math.exp(-config.gamma)  # the first round's: rows still at the uniform prior
@@ -189,17 +194,7 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
             by_class = _classes_so_far(masked, learned, scores, c)
             scored = [teaching_matrix(teacher, candidates, by_class) for teacher in teachers]
             r_list = [scored[at] for at in group]
-            solution = bcd_solve(
-                r_list,
-                beta0,
-                config.beta1,
-                size,
-                init=easiest_start(r_list, size),
-                zeta=config.zeta,
-                epsilon=config.epsilon_bcd,
-                iter_max=config.iter_max,
-                threshold=config.threshold,
-            )
+            solution = bcd_solve(r_list, config.beta0, config.beta1, size)
             chosen = candidates[solution.curriculum]
             weights = solution.weights
             objective = solution.objective_trace
@@ -231,7 +226,10 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
         if round_hook is not None:
             round_hook(record)
 
-    teachers = None  # frees each teacher's running covariance before the closing pass
+    # frees each teacher's running covariance and every graph's adjacency,
+    # Laplacian and spectrum before the closing pass, which needs only the
+    # iteration matrices
+    teachers = edges = None
     limits = [steady_state(p, scores, config.theta) for p in iterations]
     mean_scores = sum(limits) / len(limits)
     predictions = final_labels(mean_scores, masked)
@@ -250,9 +248,8 @@ def _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, roun
 def run_baseline(dataset: Dataset, labeled_idx, config: RunConfig, variant: str, round_hook=None) -> RunResult:
     """Run one variant: the full method, a no-teaching ablation, or a
     single-teacher / single-learner reduction."""
-    kernels, teaching, beta0_override = _parse_variant(variant, config.kernels)
-    beta0 = config.beta0 if beta0_override is None else beta0_override
-    return _drive(dataset, labeled_idx, config, kernels, teaching, beta0, variant, round_hook)
+    ran, teaching = _parse_variant(variant, config)
+    return _drive(dataset, labeled_idx, ran, teaching, variant, round_hook)
 
 
 def run_hydent(dataset: Dataset, labeled_idx, config: RunConfig, round_hook=None) -> RunResult:
@@ -299,7 +296,7 @@ def paired_t_test(accuracies_a, accuracies_b):
 def result_to_json(result: RunResult) -> str:
     """Stable JSON summary of a run (schema field first)."""
     payload = {
-        "schema": "hydent.run.v1",
+        "schema": "hydent.run.v2",
         "variant": result.variant,
         "accuracy": result.accuracy,
         "rounds": len(result.rounds),

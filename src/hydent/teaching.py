@@ -20,8 +20,8 @@ non-increasing.  :func:`surrogate`, :func:`gradient` and
 Every 0/1 block with orthonormal columns zeroes both penalties.  When the
 penalty weights are large against the scores, the solve settles next to
 whichever such block it starts near, so the start picks the curriculum.
-:func:`easiest_start` starts each teacher at its own best such block, so
-the scores, not a random draw, decide.
+Unless given another start, :func:`bcd_solve` starts each teacher at its
+own best such block (:func:`easiest_start`), so the scores decide.
 """
 
 from __future__ import annotations
@@ -230,7 +230,6 @@ def bcd_solve(
     beta0: float,
     beta1: float,
     s: int,
-    init_seed: int = 0,
     *,
     zeta: float = 1e-8,
     epsilon: float = 1e-4,
@@ -250,9 +249,8 @@ def bcd_solve(
     through rounding (that sweep is discarded; both count as converged),
     or after ``iter_max`` sweeps.
 
-    ``init`` may supply explicit starting blocks (the driver passes
-    :func:`easiest_start`); otherwise entries start uniform on [0, 1)
-    drawn from ``init_seed``.
+    The solve starts from ``init``, an (M, b, s) stack or a sequence of
+    (b, s) blocks, when given, and from :func:`easiest_start` otherwise.
     """
     b = np.shape(r_list[0])[0]
     if any(np.shape(r) != (b, b) for r in r_list):
@@ -262,12 +260,9 @@ def bcd_solve(
     s = min(s, b)
 
     r = np.asarray(r_list, dtype=float)
-    if init is None:
-        blocks = np.random.default_rng(init_seed).random((len(r), b, s))
-    else:
-        blocks = _as_stack(init, r)[0].copy()
-        if blocks.shape[2] != s:
-            raise ValueError("init blocks must have s columns")
+    blocks = easiest_start(r, s) if init is None else _as_stack(init, r)[0].copy()
+    if blocks.shape[2] != s:
+        raise ValueError("init blocks must have s columns")
 
     trace = [objective(blocks, r, beta0, beta1)]
     converged = False

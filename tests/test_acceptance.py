@@ -128,7 +128,8 @@ def test_05_solver_descent_on_random_instances():
             a = rng.normal(size=(b, b))
             r_list.append(a @ a.T)
         beta0, beta1 = 10.0 ** rng.uniform(-1, 2, size=2)
-        sol = bcd_solve(r_list, beta0, beta1, s, int(rng.integers(1 << 31)))
+        start = np.random.default_rng(int(rng.integers(1 << 31))).random((m, b, s))
+        sol = bcd_solve(r_list, beta0, beta1, s, init=start)
         trace = np.asarray(sol.objective_trace)
         worst_rise = max(worst_rise, float(np.max(np.diff(trace), initial=-np.inf)))
         longest = max(longest, len(trace) - 1)

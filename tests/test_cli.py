@@ -46,7 +46,7 @@ def test_run_prints_json_summary(tmp_path, capsys):
     code = main(["run", "--data", str(data), "--k", "4"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == "hydent.run.v1"
+    assert payload["schema"] == "hydent.run.v2"
     assert payload["variant"] == "hydent"
     assert 0.0 <= payload["accuracy"] <= 1.0
     assert payload["rounds"] >= 1
@@ -69,8 +69,7 @@ def test_run_passes_every_config_flag(tmp_path, capsys, monkeypatch):
     # every RunConfig field has a flag whose value reaches the run and the
     # JSON summary, which lists the fields in declaration order
     values = dict(kernels=("flap", "gaussian"), k=3, sigma=1.5, kappa2=50.0, beta0=10.0,
-                  beta1=20.0, gamma=0.7, theta=0.2, threshold=0.002, zeta=1e-7,
-                  epsilon_bcd=1e-3, iter_max=40, seed=3)
+                  beta1=20.0, gamma=0.7, theta=0.2, seed=3)
     names = [f.name for f in fields(RunConfig)]
     assert sorted(values) == sorted(names)
     assert all(values[name] != getattr(RunConfig(), name) for name in names)
@@ -90,6 +89,16 @@ def test_run_passes_every_config_flag(tmp_path, capsys, monkeypatch):
     config = json.loads(capsys.readouterr().out)["config"]
     assert list(config) == names
     assert config == {**values, "kernels": list(values["kernels"])}
+
+
+def test_solver_settings_are_not_flags(tmp_path, capsys):
+    # the solver's numerics are its own constants, not run configuration
+    data = synth(tmp_path)
+    for flag in ("--iter-max", "--threshold", "--zeta", "--epsilon-bcd"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["run", "--data", str(data), flag, "1"])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_run_unknown_variant_fails_cleanly(tmp_path, capsys):

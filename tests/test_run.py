@@ -225,9 +225,9 @@ def test_learners_with_one_laplacian_share_one_teacher(monkeypatch):
         matrices.append(len(r_list))
         return solve(r_list, *args, **kwargs)
 
-    def doubled(features, kernels, config):
+    def doubled(features, config):
         # doubling the second learner's weights doubles its Laplacian
-        graphs = build(features, kernels, config)
+        graphs = build(features, config)
         return graphs[:1] + [assemble(2.0 * g.adjacency) for g in graphs[1:]]
 
     monkeypatch.setattr(hydent.run, "make_teacher", spy_make)
@@ -378,22 +378,42 @@ def test_config_validation():
         RunConfig(theta=1.0)
     with pytest.raises(ValueError):
         RunConfig(k=0)
-    with pytest.raises(ValueError):
-        RunConfig(zeta=0.0)
-    assert RunConfig(threshold=0.0).threshold == 0.0
-    with pytest.raises(ValueError, match="threshold must be nonnegative"):
-        RunConfig(threshold=-0.1)
+
+
+def test_config_rejects_a_gamma_whose_first_feedback_underflows():
+    # exp(-800) is 0.0, which no curriculum size can follow from; exp(-745) is not
+    with pytest.raises(ValueError, match="gamma=800"):
+        RunConfig(k=4, gamma=800)
+    dataset = synth_noisy_gaussian(20, 0.8, seed=0)
+    labeled_idx, _ = split(dataset, SplitSpec(1, seed=0))
+    result = run_hydent(dataset, labeled_idx, RunConfig(k=4, gamma=745))
+    assert sum(r.size for r in result.rounds) == dataset.n - labeled_idx.size
 
 
 def test_result_json_schema():
     dataset, labeled_idx, _, config = small_problem(seed=11, n=12)
     result = run_hydent(dataset, labeled_idx, config)
     payload = json.loads(result_to_json(result))
-    assert payload["schema"] == "hydent.run.v1"
+    assert payload["schema"] == "hydent.run.v2"
     assert payload["variant"] == "hydent"
     assert payload["rounds"] == len(result.rounds)
     assert 0.0 <= payload["accuracy"] <= 1.0
     assert payload["config"]["k"] == 4
+
+
+def test_result_records_the_config_the_variant_ran():
+    dataset, labeled_idx, _, config = small_problem(seed=11, n=12)
+    expected = {
+        "hydent": config,
+        "hybrid-no-teaching": config,
+        "single-teacher-flap": dataclasses.replace(config, kernels=("flap",), beta0=0.0),
+        "single-learner-gaussian": dataclasses.replace(config, kernels=("gaussian",)),
+    }
+    for variant, ran in expected.items():
+        result = run_baseline(dataset, labeled_idx, config, variant)
+        assert result.config == ran
+        assert json.loads(result_to_json(result))["config"] == {
+            **dataclasses.asdict(ran), "kernels": list(ran.kernels)}
 
 
 def test_trace_csv_files(tmp_path):

@@ -298,8 +298,9 @@ def test_bcd_solve_trace_monotone_and_converges():
     rng = np.random.default_rng(14)
     for _ in range(10):
         blocks, r_list = random_instance(rng)
-        s = blocks[0].shape[1]
-        sol = bcd_solve(r_list, 10.0, 10.0, s, int(rng.integers(1 << 16)))
+        b, s = blocks[0].shape
+        start = np.random.default_rng(int(rng.integers(1 << 16))).random((len(r_list), b, s))
+        sol = bcd_solve(r_list, 10.0, 10.0, s, init=start)
         trace = np.asarray(sol.objective_trace)
         assert np.all(np.diff(trace) <= 1e-10)
         assert len(trace) <= 301
@@ -313,7 +314,7 @@ def test_bcd_solve_two_variable_grid_oracle():
     # beta1 has to dominate so staying at zero is not the best move.
     R = np.diag([0.1, 10.0])
     beta0, beta1 = 0.5, 5.0
-    sol = bcd_solve([R], beta0, beta1, 1, init_seed=5)
+    sol = bcd_solve([R], beta0, beta1, 1, init=np.random.default_rng(5).random((1, 2, 1)))
     S = sol.blocks[0]
     assert abs(S[0, 0]) > abs(S[1, 0])
     # dense grid over [0,1]^2 agrees about where the minimum sits
@@ -331,7 +332,7 @@ def test_bcd_solve_two_variable_grid_oracle():
 def test_bcd_solve_iteration_cap_flags_not_converged():
     rng = np.random.default_rng(15)
     blocks, r_list = random_instance(rng, b=8, s=2, m=2)
-    sol = bcd_solve(r_list, 10.0, 10.0, 2, 3, iter_max=2)
+    sol = bcd_solve(r_list, 10.0, 10.0, 2, init=np.random.default_rng(3).random((2, 8, 2)), iter_max=2)
     assert not sol.converged
     assert len(sol.objective_trace) == 3  # initial value plus two sweeps
 
@@ -341,15 +342,15 @@ def test_bcd_solve_blocks_decouple_without_row_coupling():
     # stacked problem must match solving each block alone step for step
     rng = np.random.default_rng(16)
     blocks, r_list = random_instance(rng, b=6, s=2, m=2)
-    joint = bcd_solve(r_list, 0.0, 5.0, 2, 0, epsilon=0.0, iter_max=30, init=blocks)
+    joint = bcd_solve(r_list, 0.0, 5.0, 2, epsilon=0.0, iter_max=30, init=blocks)
     for m in range(2):
-        alone = bcd_solve([r_list[m]], 0.0, 5.0, 2, 0, epsilon=0.0, iter_max=30, init=[blocks[m]])
+        alone = bcd_solve([r_list[m]], 0.0, 5.0, 2, epsilon=0.0, iter_max=30, init=[blocks[m]])
         np.testing.assert_allclose(joint.blocks[m], alone.blocks[0], atol=1e-9)
 
 
 def test_bcd_solve_clamps_s_to_pool():
     R = np.eye(3)
-    sol = bcd_solve([R], 1.0, 1.0, 7, 0)
+    sol = bcd_solve([R], 1.0, 1.0, 7, init=np.random.default_rng(0).random((1, 3, 3)))
     assert sol.blocks[0].shape == (3, 3)
     assert sol.curriculum.size <= 3
 
@@ -357,11 +358,11 @@ def test_bcd_solve_clamps_s_to_pool():
 def test_bcd_solve_respects_explicit_init():
     R = np.diag([1.0, 2.0])
     init = [np.full((2, 1), 0.5)]
-    sol = bcd_solve([R], 1.0, 1.0, 1, 99, init=init, iter_max=1, epsilon=0.0)
+    sol = bcd_solve([R], 1.0, 1.0, 1, init=init, iter_max=1, epsilon=0.0)
     q0 = objective(init, [R], 1.0, 1.0)
     assert sol.objective_trace[0] == pytest.approx(q0)
     with pytest.raises(ValueError):
-        bcd_solve([R], 1.0, 1.0, 2, 0, init=init)  # wrong column count
+        bcd_solve([R], 1.0, 1.0, 2, init=init)  # wrong column count
 
 
 def test_easiest_start_picks_each_teachers_lowest_diagonal():
@@ -387,9 +388,23 @@ def test_bcd_solve_from_easiest_start_keeps_the_cheap_rows():
     assert np.all(np.diff(sol.objective_trace) <= 1e-10)
 
 
+def test_bcd_solve_starts_from_the_easiest_start_by_default():
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        blocks, r_list = random_instance(rng)
+        s = blocks[0].shape[1]
+        default = bcd_solve(r_list, 10.0, 10.0, s)
+        given = bcd_solve(r_list, 10.0, 10.0, s, init=easiest_start(r_list, s))
+        np.testing.assert_array_equal(np.stack(default.blocks), np.stack(given.blocks))
+        np.testing.assert_array_equal(default.objective_trace, given.objective_trace)
+        np.testing.assert_array_equal(default.curriculum, given.curriculum)
+        np.testing.assert_array_equal(default.weights, given.weights)
+        assert default.converged == given.converged
+
+
 def test_bcd_solve_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        bcd_solve([np.eye(2), np.eye(3)], 1.0, 1.0, 1, 0)
+        bcd_solve([np.eye(2), np.eye(3)], 1.0, 1.0, 1)
     with pytest.raises(ValueError):
-        bcd_solve([np.eye(2)], 1.0, 1.0, 0, 0)
+        bcd_solve([np.eye(2)], 1.0, 1.0, 0)
 
