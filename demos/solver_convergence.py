@@ -1,14 +1,14 @@
 """Watch the curriculum solver descend.
 
-Builds the first teaching round of a real run by hand: the two learner
-graphs from one set of Gaussian weights, the one frontier and teacher
-their shared Laplacian gives them, and the teacher's score matrix, once
-per learner.  Then solves the joint selection problem and prints the
-objective trace, which must fall monotonically (that is the solver's
-contract, asserted at the end).  The solve starts where it starts in a run,
-at each score matrix's easiest candidates; the curriculum is compared with
-the naive strategy of just taking the smallest score diagonals, and with
-the one the solve ends in from an explicit random start.
+Builds the first teaching round of a real run by hand: the run's one graph
+from the Gaussian weights, the one frontier and teacher it gives both
+learners, and the teacher's score matrix, once per learner.  Then solves
+the joint selection problem and prints the objective trace, which must
+fall monotonically (that is the solver's contract, asserted at the end).
+The solve starts where it starts in a run, at each score matrix's easiest
+candidates; the curriculum is compared with the naive strategy of just
+taking the smallest score diagonals, and with the one the solve ends in
+from an explicit random start.
 
 Run:  python3 demos/solver_convergence.py
 """
@@ -23,7 +23,6 @@ from hydent import (
     assemble,
     bcd_solve,
     candidate_set,
-    flap_style_weights,
     gaussian_weights,
     knn_pattern,
     make_teacher,
@@ -33,7 +32,6 @@ from hydent import (
     synth_noisy_gaussian,
     teaching_matrix,
 )
-from hydent.graph import same_edges
 
 
 def main():
@@ -43,15 +41,14 @@ def main():
 
     sq = squared_distances(dataset.features)
     weights = gaussian_weights(knn_pattern(sq, config.k), sq, config.sigma)
-    graphs = [assemble(weights), assemble(flap_style_weights(weights))]
-    # the flap learner only adds self-loops, which stay out of its Laplacian,
+    graph = assemble(weights)
+    # the flap learner only adds self-loops, which stay out of the Laplacian,
     # so as in a run both learners share one frontier and one teacher
-    assert same_edges(*graphs)
-    teacher = make_teacher(graphs[0], config.kappa2)
+    teacher = make_teacher(graph, config.kappa2)
 
-    candidates = candidate_set(graphs[:1], labeled_idx, unlabeled_idx)
+    candidates = candidate_set(graph, labeled_idx, unlabeled_idx)
     by_class = {c: labeled_idx[dataset.labels[labeled_idx] == c] for c in range(2)}
-    r_list = [teaching_matrix(teacher, candidates, by_class)] * len(graphs)
+    r_list = [teaching_matrix(teacher, candidates, by_class)] * len(config.kernels)
     s = next_size(candidates.size, math.exp(-config.gamma))  # the first round's feedback
     print(f"frontier of {candidates.size} candidates, curriculum size {s}")
 

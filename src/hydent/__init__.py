@@ -1,10 +1,11 @@
 """Curriculum-guided hybrid label propagation.
 
 A small toolkit for semi-supervised classification on graphs: several
-propagation learners built from different edge kernels share one pool of
-unlabeled nodes, and a matching ensemble of teachers repeatedly selects
-the simplest candidates for them to learn next.  See README.md for the
-workflow and the command-line interface.
+propagation learners share one similarity graph and one pool of unlabeled
+nodes, each learner differing only in the share of its own scores a row
+keeps (its self-loops), and a matching ensemble of teachers repeatedly
+selects the simplest candidates for them to learn next.  See README.md for
+the workflow and the command-line interface.
 """
 
 from .data import (

@@ -1,11 +1,11 @@
-"""Similarity-graph construction and spectral quantities for one learner.
+"""Similarity-graph construction and spectral quantities.
 
-Each learner propagates on its own weighted graph.  This module builds the
-k-nearest-neighbor edge pattern, fills in edge weights (plain Gaussian
-kernel, or the same weights plus self-loops), and precomputes the degree
-vector and row-stochastic iteration matrix.  The Laplacian and its
-eigendecomposition, which only teachers read, are computed the first time
-something reads them, so runs without teachers never pay for either.
+Every learner of a run propagates over one weighted graph.  This module
+builds the k-nearest-neighbor edge pattern, fills in Gaussian kernel edge
+weights and flap's self-loop weights, and precomputes the degree vector and
+row-stochastic iteration matrix.  The Laplacian and its eigendecomposition,
+which only teachers read, are computed the first time something reads them,
+so runs without teachers never pay for either.
 """
 
 from __future__ import annotations
@@ -114,27 +114,21 @@ def gaussian_weights(pattern: np.ndarray, sq: np.ndarray, sigma: float) -> np.nd
 
 
 def flap_style_weights(weights: np.ndarray) -> np.ndarray:
-    """A copy of Gaussian kernel weights plus a self-loop on each node.
+    """Flap's self-loop on each node: the strongest weight in its row of ``weights``.
 
-    The diagonal entry of row i is the strongest edge weight incident to i;
-    an isolated row falls back to the kernel's value at zero distance (1.0)
-    so the self-loop stays positive.  Off-diagonal weights are kept exactly,
-    so both graphs share one Laplacian.
+    ``weights`` has a zero diagonal, as :func:`gaussian_weights` returns it.
+    With loops s added, row i's iteration matrix is (1 - a_i) P_i + a_i e_i,
+    a = s / (degree + s): flap is the Gaussian learner keeping the share a
+    of its own scores, so a run builds no looped copy of the graph.
     """
-    looped = np.array(weights, dtype=float)
-    np.fill_diagonal(looped, 0.0)
-    row_max = looped.max(axis=1)
-    row_max[row_max == 0.0] = 1.0
-    np.fill_diagonal(looped, row_max)
-    return looped
+    return np.asarray(weights, dtype=float).max(axis=1)
 
 
 def assemble(adjacency: np.ndarray) -> LearnerGraph:
     """Derive degree and iteration matrix from W (the Laplacian and spectrum on demand).
 
     Self-loops count in the degree and the iteration matrix but stay out of
-    the Laplacian, which is built from the off-diagonal weights alone, so
-    graphs that differ only in self-loops share one Laplacian and one teacher.
+    the Laplacian, which is built from the off-diagonal weights alone.
 
     Fails on a zero-degree row: an isolated node can never receive label
     mass, which makes the iteration matrix undefined.
@@ -154,13 +148,6 @@ def assemble(adjacency: np.ndarray) -> LearnerGraph:
         raise ValueError(f"node {bad} has zero degree; graph construction failed")
     iteration = W / degree[:, None]
     return LearnerGraph(W, degree, iteration)
-
-
-def same_edges(a: LearnerGraph, b: LearnerGraph) -> bool:
-    """Whether two graphs on the same nodes have equal off-diagonal weights, hence one Laplacian."""
-    differ = a.adjacency != b.adjacency
-    np.fill_diagonal(differ, False)
-    return not differ.any()
 
 
 def _inverse_spectrum(graph: LearnerGraph) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""Score propagation over the learner graphs.
+"""Score propagation over the learner graph.
 
 Label scores live in a row-stochastic matrix F with one row per node and
 one column per class.  Labeled nodes start one-hot and stay pinned; nodes
-the ensemble has not reached yet keep their uniform prior.  Each round the
-current curriculum rows (and every previously learned row) are refreshed
-synchronously from the last state through each learner's iteration matrix,
-then blended across learners.
+the ensemble has not reached yet keep their uniform prior.  Every learner
+propagates over the run's one iteration matrix P and differs only in its
+stay vector a, the share of its own scores each row keeps: the learner's
+iteration matrix is (1 - a) P + diag(a), zeros for the Gaussian learner and
+s / (degree + s) for flap.  Each round the current curriculum rows (and
+every previously learned row) are refreshed synchronously from the last
+state, blended across learners.
 """
 
 from __future__ import annotations
@@ -28,35 +31,31 @@ def init_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
     return scores
 
 
-def propagate_round(previous, iteration_list, curriculum, weights, learned, initial):
+def propagate_round(previous, iteration, curriculum, weights, learned, initial, stays):
     """One synchronous refresh of the active rows.
 
-    ``curriculum`` rows are blended across learners with their per-row
-    weights; ``learned`` rows (from earlier rounds) are blended uniformly.
-    Every other row is reset to its ``initial`` value, which keeps labeled
-    rows pinned and untouched rows at the prior.  All learner updates read
-    the same ``previous`` state.
+    ``stays`` holds one stay vector per learner.  ``curriculum`` rows are
+    blended across learners with their per-row weights (each row sums to
+    one); ``learned`` rows (from earlier rounds) are blended uniformly.  As
+    every learner's update of a row is (1 - a) (P F)[row] + a F[row], the
+    blend is that update at the row's blended stay, so one product with P
+    serves every learner.  Every other row is reset to its ``initial``
+    value, which keeps labeled rows pinned and untouched rows at the prior.
+    All updates read the same ``previous`` state.
     """
     previous = np.asarray(previous, dtype=float)
     curriculum = np.asarray(curriculum, dtype=int)
     learned = np.asarray(learned, dtype=int)
+    stays = np.asarray(stays, dtype=float)
     if curriculum.size and learned.size and np.intersect1d(curriculum, learned).size:
         raise ValueError("curriculum rows must not already be learned")
+    if np.shape(weights) != (curriculum.size, stays.shape[0]):
+        raise ValueError("one weight row per curriculum node is required")
 
+    rows = np.concatenate([learned, curriculum])
+    stay = np.concatenate([stays[:, learned].mean(axis=0), (weights * stays[:, curriculum].T).sum(axis=1)])
     scores = np.array(initial, dtype=float, copy=True)
-    teachers = len(iteration_list)
-    if learned.size:
-        blend = np.zeros((learned.size, previous.shape[1]))
-        for p in iteration_list:
-            blend += p[learned] @ previous
-        scores[learned] = blend / teachers
-    if curriculum.size:
-        if weights.shape != (curriculum.size, teachers):
-            raise ValueError("one weight row per curriculum node is required")
-        blend = np.zeros((curriculum.size, previous.shape[1]))
-        for m, p in enumerate(iteration_list):
-            blend += weights[:, m, None] * (p[curriculum] @ previous)
-        scores[curriculum] = blend
+    scores[rows] = (1.0 - stay)[:, None] * (iteration[rows] @ previous) + stay[:, None] * previous[rows]
 
     sums = scores.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > 1e-12:
@@ -64,17 +63,19 @@ def propagate_round(previous, iteration_list, curriculum, weights, learned, init
     return scores
 
 
-def steady_state(iteration: np.ndarray, scores: np.ndarray, theta: float) -> np.ndarray:
-    """Limit of the damped diffusion F <- theta P F + (1 - theta) F0.
+def steady_state(iteration: np.ndarray, scores: np.ndarray, theta: float, stay: np.ndarray) -> np.ndarray:
+    """Limit of the damped diffusion F <- theta P_a F + (1 - theta) F0.
 
-    Solved directly as (I - theta P) X = (1 - theta) F0, which is well
-    posed for 0 <= theta < 1 because P is row-stochastic.  The system is
-    built in one n x n buffer.
+    P_a = (1 - a) P + diag(a) is the iteration matrix of the learner with
+    stay vector ``stay``.  Solved directly as (I - theta P_a) X =
+    (1 - theta) F0, which is well posed for 0 <= theta < 1 because P_a is
+    row-stochastic.  The system is built in one n x n buffer.
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
-    system = iteration * -theta
-    np.fill_diagonal(system, system.diagonal() + 1.0)
+    stay = np.asarray(stay, dtype=float)
+    system = iteration * (-theta * (1.0 - stay))[:, None]
+    np.fill_diagonal(system, system.diagonal() + (1.0 - theta * stay))
     return np.linalg.solve(system, (1.0 - theta) * scores)
 
 

@@ -10,6 +10,10 @@ propagates one synchronous step, and measures feedback to size the
 next curriculum.  When nothing is left unlearned the per-learner damped
 diffusions are solved to their limits, averaged, and read out by argmax.
 
+Every learner shares one graph, built once per run: a learner is its stay
+vector over that graph (see ``propagate.py``), and one teacher judges for
+all of them.
+
 Ablation variants reuse the same driver so that, for example, the full
 method with one learner and the coupling weight at zero reproduces the
 single-teacher baseline bit for bit.
@@ -26,7 +30,7 @@ import numpy as np
 
 from .data import Dataset
 from .feedback import feedback_value, next_size
-from .graph import assemble, flap_style_weights, gaussian_weights, knn_pattern, same_edges, squared_distances
+from .graph import assemble, flap_style_weights, gaussian_weights, knn_pattern, squared_distances
 from .propagate import final_labels, init_labels, propagate_round, steady_state
 from .teacher import candidate_set, make_teacher, teaching_matrix
 from .teaching import bcd_solve
@@ -57,9 +61,11 @@ class RunConfig:
     def __post_init__(self):
         if not self.kernels:
             raise ValueError("need at least one learner kernel")
-        for kernel in self.kernels:
+        for at, kernel in enumerate(self.kernels):
             if kernel not in KNOWN_KERNELS:
                 raise ValueError(f"unknown kernel {kernel!r}; choose from {KNOWN_KERNELS}")
+            if kernel in self.kernels[:at]:
+                raise ValueError(f"kernel {kernel!r} is repeated; each learner kernel may appear once")
         if self.k < 1 or self.sigma <= 0 or self.kappa2 <= 0:
             raise ValueError("k, sigma and kappa2 must be positive")
         if self.beta0 < 0 or self.beta1 < 0 or self.gamma <= 0:
@@ -124,12 +130,20 @@ def evaluate(predictions, truth, unlabeled_idx) -> float:
 
 
 def _build_graphs(features, config):
-    # Every kernel keeps the Gaussian edge weights; flap only adds self-loops.
+    """The run's one graph and each kernel's stay vector, shape (kernels, n), in config order.
+
+    Every kernel keeps the Gaussian edge weights; flap only adds self-loops,
+    which make each row keep the share s / (degree + s) of its own scores.
+    """
     sq = squared_distances(features)
     weights = gaussian_weights(knn_pattern(sq, config.k), sq, config.sigma)
-    del sq  # the graphs need only the weights
-    return [assemble(weights if kernel == "gaussian" else flap_style_weights(weights))
-            for kernel in config.kernels]
+    del sq  # the graph needs only the weights
+    graph = assemble(weights)
+    stays = np.zeros((len(config.kernels), graph.n))  # the Gaussian learner keeps no share
+    if "flap" in config.kernels:
+        loops = flap_style_weights(weights)
+        stays[config.kernels.index("flap")] = loops / (graph.degree + loops)
+    return graph, stays
 
 
 def _classes_so_far(masked, learned, scores, class_count):
@@ -157,43 +171,36 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
     labeled_idx = np.asarray(labeled_idx, dtype=int)
     n = dataset.n
     c = dataset.class_count
+    outside = labeled_idx[(labeled_idx < 0) | (labeled_idx >= n)]
+    if outside.size:
+        raise ValueError(f"labeled index {outside[0]} is outside [0, {n})")
     masked = np.full(n, -1, dtype=int)
     masked[labeled_idx] = dataset.labels[labeled_idx]
     if np.any(dataset.labels[labeled_idx] < 0):
         raise ValueError("labeled indices must carry known classes")
 
-    graphs = _build_graphs(dataset.features, config)
-    iterations = [g.iteration for g in graphs]
-    # Learners whose graphs differ only in self-loops have one Laplacian, so
-    # one frontier and one teacher: learner i belongs to the group of edges[group[i]].
-    edges, group = [], []
-    for graph in graphs:
-        same = [at for at, other in enumerate(edges) if same_edges(other, graph)]
-        if not same:
-            edges.append(graph)
-        group.append(same[0] if same else len(edges) - 1)
-    del graphs, graph  # a learner outside ``edges`` needs only its iteration matrix
-    teachers = [make_teacher(graph, config.kappa2) for graph in edges] if teaching else None
+    graph, stays = _build_graphs(dataset.features, config)
+    learners = len(stays)
+    teacher = make_teacher(graph, config.kappa2) if teaching else None
 
     start = init_labels(masked, c)
     scores = start
     learned = np.empty(0, dtype=int)
     remaining = np.setdiff1d(np.arange(n), labeled_idx)
     unlabeled0 = remaining.copy()
-    uniform = np.full(len(iterations), 1.0 / len(iterations))
 
     records = []
     feedback = math.exp(-config.gamma)  # the first round's: rows still at the uniform prior
     while remaining.size:
         tick = time.perf_counter()
         anchors = np.sort(np.concatenate([labeled_idx, learned]))
-        candidates = candidate_set(edges, anchors, remaining)
+        candidates = candidate_set(graph, anchors, remaining)
         pool = candidates.size
         size = next_size(pool, feedback) if teaching else pool
         if size < pool:
             by_class = _classes_so_far(masked, learned, scores, c)
-            scored = [teaching_matrix(teacher, candidates, by_class) for teacher in teachers]
-            r_list = [scored[at] for at in group]
+            # one teacher judges for every learner; the solve takes a score matrix per learner
+            r_list = [teaching_matrix(teacher, candidates, by_class)] * learners
             solution = bcd_solve(r_list, config.beta0, config.beta1, size)
             chosen = candidates[solution.curriculum]
             weights = solution.weights
@@ -201,11 +208,11 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
             converged = solution.converged
         else:
             chosen = candidates
-            weights = np.tile(uniform, (pool, 1))
+            weights = np.full((pool, learners), 1.0 / learners)
             objective = np.empty(0)
             converged = None
 
-        scores = propagate_round(scores, iterations, chosen, weights, learned, start)
+        scores = propagate_round(scores, graph.iteration, chosen, weights, learned, start, stays)
         feedback = feedback_value(scores[chosen], c, config.gamma)
         learned = np.concatenate([learned, chosen])
         remaining = np.setdiff1d(remaining, chosen)
@@ -226,11 +233,12 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
         if round_hook is not None:
             round_hook(record)
 
-    # frees each teacher's running covariance and every graph's adjacency,
+    # frees the teacher's running covariance and the graph's adjacency,
     # Laplacian and spectrum before the closing pass, which needs only the
-    # iteration matrices
-    teachers = edges = None
-    limits = [steady_state(p, scores, config.theta) for p in iterations]
+    # iteration matrix
+    iteration = graph.iteration
+    teacher = graph = None
+    limits = [steady_state(iteration, scores, config.theta, stay) for stay in stays]
     mean_scores = sum(limits) / len(limits)
     predictions = final_labels(mean_scores, masked)
     accuracy = evaluate(predictions, dataset.labels, unlabeled0)

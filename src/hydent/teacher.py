@@ -41,10 +41,10 @@ ROW_BLOCK = 256
 class TeacherState:
     """Per-teacher quantities for one run.
 
-    A teacher judges from its learner's ``graph`` (whose Laplacian and
-    spectrum are cached on it) and ``kappa2`` alone, so learners with equal
-    Laplacians share one state; a second :func:`teaching_matrix` call with
-    the same anchors only reads it.  ``sigma`` is the conditional covariance
+    A teacher judges from the run's ``graph`` (whose Laplacian and spectrum
+    are cached on it) and ``kappa2`` alone, so every learner of the run
+    shares one state; a second :func:`teaching_matrix` call with the same
+    anchors only reads it.  ``sigma`` is the conditional covariance
     of the ascending nodes ``free`` given the label of every other node:
     the first :func:`teaching_matrix` call starts it from the prior, and
     every call downdates it.
@@ -59,10 +59,10 @@ class TeacherState:
 def make_teacher(graph: LearnerGraph, kappa2: float = 100.0) -> TeacherState:
     """A teacher that judges from ``graph``, with its spectrum computed now.
 
-    The teacher judges from ``graph``'s Laplacian alone, so it may serve
-    every learner whose Laplacian equals that one.  The eigendecomposition
-    and the pseudoinverse's diagonal are forced here, so set-up, not the
-    first round, pays for them.
+    The teacher judges from ``graph``'s Laplacian alone, which a learner's
+    self-loops do not enter, so it serves every learner of the run.  The
+    eigendecomposition and the pseudoinverse's diagonal are forced here, so
+    set-up, not the first round, pays for them.
 
     ``kappa2`` sharpens or flattens the prior; the Laplacian is PSD, so the
     precision is positive definite for any finite positive kappa2.
@@ -74,17 +74,16 @@ def make_teacher(graph: LearnerGraph, kappa2: float = 100.0) -> TeacherState:
 
 
 def candidate_set(
-    graphs: Sequence[LearnerGraph],
+    graph: LearnerGraph,
     labeled: Sequence[int],
     unlabeled: Sequence[int],
 ) -> np.ndarray:
     """Frontier candidates: unlabeled direct neighbors of the labeled set.
 
-    The frontiers of all graphs are unioned so that every teacher scores
-    the same candidate list; graphs with equal off-diagonal weights have
-    one frontier, so one of them is enough.  If no unlabeled example
-    touches the labeled set (a disconnected frontier) the whole unlabeled
-    set is promoted, so the propagation loop can always make progress.
+    Every learner of a run shares ``graph``'s edges, so every teacher scores
+    this one candidate list.  If no unlabeled example touches the labeled
+    set (a disconnected frontier) the whole unlabeled set is promoted, so
+    the propagation loop can always make progress.
     """
     labeled = np.asarray(labeled, dtype=int)
     unlabeled = np.asarray(unlabeled, dtype=int)
@@ -92,10 +91,7 @@ def candidate_set(
         return np.empty(0, dtype=int)
     if labeled.size == 0:
         raise ValueError("labeled set must be nonempty")
-    frontier = np.zeros(0, dtype=bool)
-    for graph in graphs:
-        touches = graph.adjacency[np.ix_(unlabeled, labeled)].sum(axis=1) > 0
-        frontier = touches if frontier.size == 0 else (frontier | touches)
+    frontier = graph.adjacency[np.ix_(unlabeled, labeled)].sum(axis=1) > 0
     if not frontier.any():
         return np.sort(unlabeled)
     return np.sort(unlabeled[frontier])

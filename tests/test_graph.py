@@ -111,27 +111,31 @@ def test_gaussian_weights_positive_sigma_required():
 
 
 def test_flap_weights_two_node_example():
-    # both self-loops equal the single edge weight, so every entry matches
+    # both self-loops equal the single edge weight
     x = np.array([[0.0, 0.0], [1.0, 1.0]])
     pattern = np.array([[False, True], [True, False]])
-    W = flap_style_weights(gaussian_weights(pattern, squared_distances(x), 1.0))
-    w = np.exp(-1.0)
-    np.testing.assert_allclose(W, [[w, w], [w, w]], rtol=1e-12)
+    loops = flap_style_weights(gaussian_weights(pattern, squared_distances(x), 1.0))
+    np.testing.assert_allclose(loops, [np.exp(-1.0)] * 2, rtol=1e-12)
 
 
 def test_flap_weights_off_diagonals_equal_gaussian():
+    # each loop is the row's strongest edge, and the weights are left as they were
     sq = squared_distances(np.random.default_rng(3).normal(size=(8, 2)))
     plain = gaussian_weights(knn_pattern(sq, 3), sq, 1.0)
-    looped = flap_style_weights(plain)
+    before = plain.copy()
+    loops = flap_style_weights(plain)
+    np.testing.assert_array_equal(plain, before)
     off = ~np.eye(8, dtype=bool)
-    np.testing.assert_array_equal(looped[off], plain[off])
-    np.testing.assert_array_equal(np.diag(looped), plain.max(axis=1))
+    np.testing.assert_array_equal(loops, [row[mask].max() for row, mask in zip(plain, off)])
 
 
 def test_flap_weights_symmetric():
+    # the looped graph stays symmetric, with a positive loop on every node
     sq = squared_distances(np.random.default_rng(4).normal(size=(10, 3)))
-    W = flap_style_weights(gaussian_weights(knn_pattern(sq, 4), sq, 0.7))
+    plain = gaussian_weights(knn_pattern(sq, 4), sq, 0.7)
+    W = plain + np.diag(flap_style_weights(plain))
     np.testing.assert_allclose(W, W.T, atol=1e-15)
+    assert np.all(np.diag(W) > 0)
 
 
 def test_assemble_two_node_graph():
@@ -166,8 +170,9 @@ def test_assemble_laplacian_ignores_self_loops():
     # the Gaussian graph's exactly, while degree and iteration keep the loop
     sq = squared_distances(np.random.default_rng(21).normal(size=(30, 2)))
     pattern = knn_pattern(sq, 4)
-    plain = assemble(gaussian_weights(pattern, sq, 0.8))
-    looped = assemble(flap_style_weights(gaussian_weights(pattern, sq, 0.8)))
+    weights = gaussian_weights(pattern, sq, 0.8)
+    plain = assemble(weights)
+    looped = assemble(weights + np.diag(flap_style_weights(weights)))
     assert looped.laplacian.tobytes() == plain.laplacian.tobytes()
     loops = np.diag(looped.adjacency)
     assert np.all(loops > 0)

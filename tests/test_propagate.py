@@ -1,17 +1,25 @@
-"""Label-state updates, the steady-state closure, and final readout."""
+"""Label-state updates, the steady-state closure, and final readout.
+
+A learner is a stay vector over the run's one iteration matrix.  The flap
+oracles check that form, as a run builds it, against the dense graph flap
+used to be built as: the Gaussian weights plus a diagonal of self-loops,
+assembled on their own.
+"""
 
 import numpy as np
 import pytest
 
-from hydent.graph import assemble
+from hydent.graph import assemble, flap_style_weights
 from hydent.propagate import (
     final_labels,
     init_labels,
     propagate_round,
     steady_state,
 )
+from hydent.run import RunConfig, _build_graphs
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+ONE_GAUSSIAN = np.zeros((1, 2))
 
 
 def random_iteration(rng, n):
@@ -42,11 +50,12 @@ def test_propagate_round_two_node_adoption():
     initial = init_labels(np.array([0, -1]), 2)
     F = propagate_round(
         initial,
-        [SWAP],
+        SWAP,
         curriculum=np.array([1]),
         weights=np.array([[1.0]]),
         learned=np.array([], dtype=int),
         initial=initial,
+        stays=ONE_GAUSSIAN,
     )
     np.testing.assert_allclose(F[1], [1.0, 0.0])
     np.testing.assert_array_equal(F[0], initial[0])
@@ -58,54 +67,60 @@ def test_propagate_round_untouched_rows_keep_initial_bits():
     p = random_iteration(rng, 5)
     F = propagate_round(
         initial,
-        [p],
+        p,
         curriculum=np.array([2]),
         weights=np.array([[1.0]]),
         learned=np.array([], dtype=int),
         initial=initial,
+        stays=np.zeros((1, 5)),
     )
     # frozen rows must be exactly the initial values, not merely close
     for frozen in (0, 1, 3, 4):
         assert np.array_equal(F[frozen], initial[frozen])
 
 
+# node 2 hangs off node 0; the first learner moves it there, the second
+# (stay 1) keeps its own row
+PULL = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+MOVE_AND_STAY = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+
+
 def test_propagate_round_weights_blend_learners():
-    # two learners that pull node 2 toward different neighbors
-    pa = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    pb = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     initial = init_labels(np.array([0, 1, -1]), 2)
     F = propagate_round(
         initial,
-        [pa, pb],
+        PULL,
         curriculum=np.array([2]),
         weights=np.array([[0.25, 0.75]]),
         learned=np.array([], dtype=int),
         initial=initial,
+        stays=MOVE_AND_STAY,
     )
-    # 0.25 of row (1,0) plus 0.75 of row (0,1)
-    np.testing.assert_allclose(F[2], [0.25, 0.75])
+    # 0.25 of node 0's row (1,0) plus 0.75 of node 2's own prior (1/2,1/2)
+    np.testing.assert_allclose(F[2], [0.625, 0.375])
 
 
 def test_propagate_round_learned_rows_average_uniformly():
-    pa = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    pb = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     initial = init_labels(np.array([0, 1, -1]), 2)
     F = propagate_round(
         initial,
-        [pa, pb],
+        PULL,
         curriculum=np.array([], dtype=int),
         weights=np.empty((0, 2)),
         learned=np.array([2]),
         initial=initial,
+        stays=MOVE_AND_STAY,
     )
-    np.testing.assert_allclose(F[2], [0.5, 0.5])
+    np.testing.assert_allclose(F[2], [0.75, 0.25])
 
 
 def test_propagate_round_rejects_overlap():
     initial = init_labels(np.array([0, -1, -1]), 2)
-    p = np.eye(3)
+    p, stays = np.eye(3), np.zeros((1, 3))
     with pytest.raises(ValueError):
-        propagate_round(initial, [p], np.array([1]), np.array([[1.0]]), np.array([1]), initial)
+        propagate_round(initial, p, np.array([1]), np.array([[1.0]]), np.array([1]), initial, stays)
+    with pytest.raises(ValueError, match="one weight row"):
+        propagate_round(initial, p, np.array([1]), np.array([[0.5, 0.5]]), np.array([2]), initial, stays)
 
 
 def test_propagate_round_row_sums_stay_one():
@@ -116,10 +131,11 @@ def test_propagate_round_row_sums_stay_one():
     F = init_labels(labels, 2)
     initial = F.copy()
     learned = np.array([], dtype=int)
-    iterations = [random_iteration(rng, n), random_iteration(rng, n)]
+    p = random_iteration(rng, n)
+    stays = np.vstack([np.zeros(n), rng.random(n)])
     for batch in (np.array([2, 3, 4]), np.array([5, 6]), np.array([7, 8, 9, 10, 11])):
         weights = rng.dirichlet(np.ones(2), size=batch.size)
-        F = propagate_round(F, iterations, batch, weights, learned, initial)
+        F = propagate_round(F, p, batch, weights, learned, initial, stays)
         learned = np.concatenate([learned, batch])
         np.testing.assert_allclose(F.sum(axis=1), 1.0, atol=1e-9)
 
@@ -128,19 +144,19 @@ def test_steady_state_theta_zero_is_identity():
     rng = np.random.default_rng(23)
     p = random_iteration(rng, 6)
     F = rng.dirichlet(np.ones(3), size=6)
-    np.testing.assert_allclose(steady_state(p, F, theta=0.0), F, atol=1e-12)
+    np.testing.assert_allclose(steady_state(p, F, 0.0, np.zeros(6)), F, atol=1e-12)
 
 
 def test_steady_state_constant_rows_are_fixed():
     rng = np.random.default_rng(24)
     p = random_iteration(rng, 5)
     F = np.tile([0.2, 0.8], (5, 1))
-    np.testing.assert_allclose(steady_state(p, F, theta=0.05), F, atol=1e-10)
+    np.testing.assert_allclose(steady_state(p, F, 0.05, np.zeros(5)), F, atol=1e-10)
 
 
 def test_steady_state_two_node_closed_form():
     F = np.eye(2)
-    out = steady_state(SWAP, F, theta=0.05)
+    out = steady_state(SWAP, F, 0.05, np.zeros(2))
     # (I - 0.05 P)^-1 = [[1, 0.05], [0.05, 1]] / (1 - 0.0025)
     expected = 0.95 / 0.9975 * np.array([[1.0, 0.05], [0.05, 1.0]])
     np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -151,9 +167,11 @@ def test_steady_state_preserves_row_sums():
     rng = np.random.default_rng(25)
     p = random_iteration(rng, 9)
     F = rng.dirichlet(np.ones(4), size=9)
-    out = steady_state(p, F, theta=0.05)
+    stay = rng.random(9)
+    out = steady_state(p, F, 0.05, stay)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-8)
-    residual = (np.eye(9) - 0.05 * p) @ out - 0.95 * F
+    looped = (1.0 - stay)[:, None] * p + np.diag(stay)
+    residual = (np.eye(9) - 0.05 * looped) @ out - 0.95 * F
     assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(F)
 
 
@@ -161,9 +179,64 @@ def test_steady_state_theta_bounds():
     p = SWAP
     F = np.eye(2)
     with pytest.raises(ValueError):
-        steady_state(p, F, theta=1.0)
+        steady_state(p, F, 1.0, np.zeros(2))
     with pytest.raises(ValueError):
-        steady_state(p, F, theta=-0.1)
+        steady_state(p, F, -0.1, np.zeros(2))
+
+
+def flap_cases():
+    """(the run's graph, flap's stay vector, flap's dense looped graph) on random kNN inputs."""
+    rng = np.random.default_rng(31)
+    for n, k, sigma, kernels in ((12, 2, 1.0, ("flap",)), (40, 4, 0.7, ("gaussian", "flap")),
+                                 (90, 5, 1.3, ("flap", "gaussian"))):
+        graph, stays = _build_graphs(rng.normal(size=(n, 2)), RunConfig(kernels=kernels, k=k, sigma=sigma))
+        weights = graph.adjacency
+        yield graph, stays[kernels.index("flap")], assemble(weights + np.diag(flap_style_weights(weights)))
+
+
+def per_learner_blend(previous, iterations, curriculum, weights, learned, initial):
+    """The blend over each learner's own iteration matrix that the stay form replaced."""
+    scores = np.array(initial, dtype=float, copy=True)
+    if learned.size:
+        scores[learned] = sum(p[learned] @ previous for p in iterations) / len(iterations)
+    if curriculum.size:
+        scores[curriculum] = sum(weights[:, m, None] * (p[curriculum] @ previous)
+                                 for m, p in enumerate(iterations))
+    return scores
+
+
+def test_flap_stay_form_is_the_looped_iteration_matrix():
+    for plain, stay, dense in flap_cases():
+        looped = (1.0 - stay)[:, None] * plain.iteration + np.diag(stay)
+        np.testing.assert_allclose(looped, dense.iteration, rtol=0.0, atol=1e-15)
+
+
+def test_propagate_round_stays_match_the_per_learner_blend():
+    rng = np.random.default_rng(32)
+    for plain, stay, dense in flap_cases():
+        n = plain.n
+        labels = np.full(n, -1)
+        labels[:2] = [0, 1]
+        F = initial = init_labels(labels, 2)
+        stays = np.vstack([np.zeros(n), stay])
+        learned = np.array([], dtype=int)
+        for batch in np.array_split(rng.permutation(np.arange(2, n)), 4):
+            weights = rng.dirichlet(np.ones(2), size=batch.size)
+            learners = [plain.iteration, dense.iteration]
+            expected = per_learner_blend(F, learners, batch, weights, learned, initial)
+            F = propagate_round(F, plain.iteration, batch, weights, learned, initial, stays)
+            np.testing.assert_allclose(F, expected, rtol=0.0, atol=1e-15)
+            learned = np.concatenate([learned, batch])
+
+
+def test_steady_state_with_stays_matches_the_looped_graph():
+    rng = np.random.default_rng(33)
+    for plain, stay, dense in flap_cases():
+        F = rng.dirichlet(np.ones(3), size=plain.n)
+        for theta in (0.05, 0.5, 0.99):
+            np.testing.assert_allclose(steady_state(plain.iteration, F, theta, stay),
+                                       steady_state(dense.iteration, F, theta, np.zeros(plain.n)),
+                                       rtol=0.0, atol=1e-12)
 
 
 def test_final_labels_argmax_and_pinning():

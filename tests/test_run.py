@@ -123,22 +123,21 @@ def test_spectrum_is_computed_only_when_teachers_read_it(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", count)
     dataset, labeled_idx, _, config = small_problem(seed=4)
     run_baseline(dataset, labeled_idx, config, "hybrid-no-teaching")
-    assert len(graphs) == 2 and decompositions == []
-    assert not any("laplacian" in vars(g) for g in graphs)
+    assert len(graphs) == 1 and decompositions == []
+    assert "laplacian" not in vars(graphs[0])
     run_hydent(dataset, labeled_idx, config)
-    # both learners share one Laplacian, hence one teacher and one spectrum;
-    # only the teacher's graph builds it
-    assert len(graphs) == 4 and len(decompositions) == 1
-    assert ["laplacian" in vars(g) for g in graphs[2:]] == [True, False]
+    # both learners share the run's one graph, hence one teacher and one spectrum
+    assert len(graphs) == 2 and len(decompositions) == 1
+    assert "laplacian" in vars(graphs[1])
     # a cached spectrum is not recomputed on later reads
-    assert graphs[2].eigenvalues is graphs[2].eigenvalues and len(decompositions) == 1
+    assert graphs[1].eigenvalues is graphs[1].eigenvalues and len(decompositions) == 1
 
 
 def test_scoring_downdates_instead_of_solving(monkeypatch):
     # every score matrix is the one-shot reliability plus the gap, yet after a
     # teacher's first call no solve or inverse is larger than the number of
     # nodes anchored since its previous call; the two learners share one
-    # teacher, so only one call builds and the other learner's call only reads
+    # teacher, scored once a round, so only its first call builds
     score, solve, inv = hydent.run.teaching_matrix, np.linalg.solve, np.linalg.inv
     sizes, calls = [], []
 
@@ -181,8 +180,9 @@ def test_teacher_reads_its_graph_and_builds_no_commute_table(monkeypatch):
     graphs, teachers, tables = [], [], []
 
     def spy_build(*args):
-        graphs.extend(build(*args))
-        return list(graphs)
+        graph, stays = build(*args)
+        graphs.append(graph)
+        return graph, stays
 
     def spy_make(graph, kappa2):
         teachers.append(make(graph, kappa2))
@@ -207,15 +207,14 @@ def test_teacher_reads_its_graph_and_builds_no_commute_table(monkeypatch):
 
 
 def test_learners_with_one_laplacian_share_one_teacher(monkeypatch):
-    # a teacher and a frontier graph are kept per distinct Laplacian, not per
-    # learner, while the solve still gets one score matrix per learner
-    make, solve, build = hydent.run.make_teacher, hydent.run.bcd_solve, hydent.run._build_graphs
-    frontier = hydent.run.candidate_set
+    # a run keeps one teacher and one frontier graph for all its learners,
+    # while the solve still gets one score matrix per learner
+    make, solve, frontier = hydent.run.make_teacher, hydent.run.bcd_solve, hydent.run.candidate_set
     built, matrices, gathered = [], [], []
 
-    def spy_frontier(graphs, *args):
-        gathered.append(len(graphs))
-        return frontier(graphs, *args)
+    def spy_frontier(graph, *args):
+        gathered.append(graph)
+        return frontier(graph, *args)
 
     def spy_make(graph, kappa2):
         built.append(graph)
@@ -225,37 +224,51 @@ def test_learners_with_one_laplacian_share_one_teacher(monkeypatch):
         matrices.append(len(r_list))
         return solve(r_list, *args, **kwargs)
 
-    def doubled(features, config):
-        # doubling the second learner's weights doubles its Laplacian
-        graphs = build(features, config)
-        return graphs[:1] + [assemble(2.0 * g.adjacency) for g in graphs[1:]]
-
     monkeypatch.setattr(hydent.run, "make_teacher", spy_make)
     monkeypatch.setattr(hydent.run, "bcd_solve", spy_solve)
     monkeypatch.setattr(hydent.run, "candidate_set", spy_frontier)
     dataset, labeled_idx, _, config = small_problem(seed=6)
-    for variant, teachers, learners in (("hydent", 1, 2), ("single-teacher-flap", 1, 1)):
+    for variant, learners in (("hydent", 2), ("single-teacher-flap", 1)):
         built.clear()
         matrices.clear()
         gathered.clear()
         run_baseline(dataset, labeled_idx, config, variant)
-        assert len(built) == teachers
+        assert len(built) == 1
         assert matrices and set(matrices) == {learners}
-        assert set(gathered) == {1}
-    monkeypatch.setattr(hydent.run, "_build_graphs", doubled)
-    built.clear()
-    matrices.clear()
-    gathered.clear()
-    run_hydent(dataset, labeled_idx, config)
-    assert len(built) == 2
-    assert matrices and set(matrices) == {2}
-    assert gathered and set(gathered) == {2}
+        assert gathered and all(graph is built[0] for graph in gathered)
+
+
+def test_every_variant_assembles_one_graph(monkeypatch):
+    # flap's self-loops are a stay vector over the Gaussian graph, not a
+    # second adjacency: each run assembles exactly one graph
+    assemble, calls = hydent.run.assemble, []
+
+    def spy(adjacency):
+        calls.append(adjacency.shape)
+        return assemble(adjacency)
+
+    monkeypatch.setattr(hydent.run, "assemble", spy)
+    dataset, labeled_idx, _, config = small_problem(seed=8)
+    for variant in ("hydent", "hybrid-no-teaching", "single-teacher-gaussian", "single-teacher-flap",
+                    "single-learner-gaussian", "single-learner-flap"):
+        calls.clear()
+        run_baseline(dataset, labeled_idx, config, variant)
+        assert calls == [(dataset.n, dataset.n)], variant
+
+
+def test_labeled_indices_outside_the_dataset_are_rejected():
+    # -1 must not wrap round to the last node, and n must not raise a bare IndexError
+    dataset, labeled_idx, _, config = small_problem(seed=0, n=20)
+    for variant in ("hydent", "hybrid-no-teaching"):
+        for bad in (-1, dataset.n):
+            with pytest.raises(ValueError, match=f"labeled index {bad} "):
+                run_baseline(dataset, [17, bad], config, variant)
 
 
 def test_graph_work_runs_once_per_group_of_equal_edges(monkeypatch):
     # the default learners differ only in self-loops: distances are computed
     # once for the kNN pattern and the one weight build, and each solved round
-    # scores its one teacher once (one frontier graph: see the test above)
+    # scores its one teacher once
     distances, score, solve = hydent.graph.squared_distances, hydent.run.teaching_matrix, hydent.run.bcd_solve
     calls = {"distances": 0, "scored": 0, "solved": 0}
 
@@ -378,6 +391,8 @@ def test_config_validation():
         RunConfig(theta=1.0)
     with pytest.raises(ValueError):
         RunConfig(k=0)
+    with pytest.raises(ValueError, match="kernel 'gaussian' is repeated"):
+        RunConfig(kernels=("gaussian", "flap", "gaussian"))
 
 
 def test_config_rejects_a_gamma_whose_first_feedback_underflows():

@@ -312,21 +312,8 @@ def test_teaching_matrix_is_sum_of_parts():
 
 def test_candidate_set_frontier_on_chain():
     g = chain_graph(5)
-    np.testing.assert_array_equal(candidate_set([g], [0], [1, 2, 3, 4]), [1])
-    np.testing.assert_array_equal(candidate_set([g], [0, 1], [2, 3, 4]), [2])
-
-
-def test_candidate_set_unions_learner_frontiers():
-    # learner A joins 0-1, learner B joins 0-2; the shared frontier is both
-    a = np.zeros((3, 3))
-    a[0, 1] = a[1, 0] = 1.0
-    a[1, 2] = a[2, 1] = 1.0
-    b = np.zeros((3, 3))
-    b[0, 2] = b[2, 0] = 1.0
-    b[1, 2] = b[2, 1] = 1.0
-    ga, gb = assemble(a), assemble(b)
-    np.testing.assert_array_equal(candidate_set([ga, gb], [0], [1, 2]), [1, 2])
-    np.testing.assert_array_equal(candidate_set([ga], [0], [1, 2]), [1])
+    np.testing.assert_array_equal(candidate_set(g, [0], [1, 2, 3, 4]), [1])
+    np.testing.assert_array_equal(candidate_set(g, [0, 1], [2, 3, 4]), [2])
 
 
 def test_candidate_set_promotes_all_when_disconnected():
@@ -334,11 +321,11 @@ def test_candidate_set_promotes_all_when_disconnected():
     W[0, 1] = W[1, 0] = 1.0
     W[2, 3] = W[3, 2] = 1.0
     g = assemble(W)
-    np.testing.assert_array_equal(candidate_set([g], [0, 1], [2, 3]), [2, 3])
+    np.testing.assert_array_equal(candidate_set(g, [0, 1], [2, 3]), [2, 3])
 
 
 def test_candidate_set_edge_cases():
     g = chain_graph(3)
-    assert candidate_set([g], [0], []).size == 0
+    assert candidate_set(g, [0], []).size == 0
     with pytest.raises(ValueError):
-        candidate_set([g], [], [1, 2])
+        candidate_set(g, [], [1, 2])
