@@ -121,6 +121,10 @@ def cmd_bench(args) -> int:
         raise ValueError("no variants given")
     for variant in variants:
         _parse_variant(variant, config)  # an unknown name fails before any run
+    for role, values in (("variant", variants), ("--labeled-per-class size", args.labeled_per_class)):
+        for at, value in enumerate(values):
+            if value in values[:at]:
+                raise ValueError(f"{role} {value!r} is repeated; give each once")
     if args.repeats < 1:
         raise ValueError("repeats must be positive")
     seeds = args.seeds if args.seeds is not None else list(range(args.repeats))

@@ -121,12 +121,19 @@ def evaluate(predictions, truth, unlabeled_idx) -> float:
 
     An empty index set counts as vacuously perfect.
     """
-    unlabeled_idx = np.asarray(unlabeled_idx, dtype=int)
+    unlabeled_idx = _indices(unlabeled_idx, "unlabeled")
     if unlabeled_idx.size == 0:
         return 1.0
     predictions = np.asarray(predictions)
     truth = np.asarray(truth)
     return float(np.mean(predictions[unlabeled_idx] == truth[unlabeled_idx]))
+
+
+def _indices(idx, role):
+    """``idx`` as an int array; a boolean mask is refused, as it would read as the indices 0 and 1."""
+    if np.asarray(idx).dtype == bool:
+        raise ValueError(f"{role} indices were given as a boolean mask; pass np.flatnonzero(mask)")
+    return np.asarray(idx, dtype=int)
 
 
 def _build_graphs(features, config):
@@ -168,7 +175,7 @@ def _parse_variant(variant, config):
 
 def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
     started = time.perf_counter()
-    labeled_idx = np.asarray(labeled_idx, dtype=int)
+    labeled_idx = _indices(labeled_idx, "labeled")
     n = dataset.n
     c = dataset.class_count
     outside = labeled_idx[(labeled_idx < 0) | (labeled_idx >= n)]

@@ -12,8 +12,8 @@ The solver holds the M blocks as one (M, b, s) array.  Each sweep refreshes
 the row-norm weights, which majorize the row-sparsity term and decouple the
 blocks, then moves every block along its negative gradient by the exact
 minimizing step: along a line each block's majorized objective is a quartic
-in the step length, so the step is a root of a cubic.  A step is kept only
-if it does not raise its block's objective, so the objective trace is
+in the step length, so the step is a root of a cubic.  A sweep is kept only
+if it does not raise the full objective, so the objective trace is
 non-increasing.  :func:`surrogate`, :func:`gradient` and
 :func:`line_quartic` take one (b, s) block or the whole stack.
 
@@ -77,13 +77,17 @@ def _block_terms(block: np.ndarray, r: np.ndarray, beta1: float):
     return _total(block * (r @ block) + beta1 * (sq - block) ** 2) + beta1 * _total((_gram(block) - eye) ** 2)
 
 
+def _value(blocks: np.ndarray, r: np.ndarray, beta0: float, beta1: float) -> float:
+    """The joint objective of an (M, b, s) stack under (M, b, b) scores."""
+    return float(beta0 * l21_norm(np.hstack(blocks)) + np.sum(_block_terms(blocks, r, beta1)))
+
+
 def objective(blocks, r_list, beta0: float, beta1: float) -> float:
     """Full joint objective, with the row-sparsity term computed exactly.
 
     ``blocks`` is a sequence of (b, s) blocks or an (M, b, s) stack.
     """
-    blocks, r = _as_stack(blocks, r_list)
-    return float(beta0 * l21_norm(np.hstack(blocks)) + np.sum(_block_terms(blocks, r, beta1)))
+    return _value(*_as_stack(blocks, r_list), beta0, beta1)
 
 
 def surrogate(block: np.ndarray, r: np.ndarray, h: np.ndarray, beta0: float, beta1: float):
@@ -242,12 +246,12 @@ def bcd_solve(
     Each sweep refreshes the row-norm weights from the current stacked
     matrix, then moves every block along its negative gradient by the
     exact minimizer of its quartic :func:`surrogate` along that line (the
-    blocks are independent given the weights, so all move at once).  A
-    block keeps its step only if its surrogate, evaluated directly, does
-    not rise.  Stops when the stacked matrix moves less than ``epsilon`` in
-    Frobenius norm, or when a sweep would still raise the full objective
-    through rounding (that sweep is discarded; both count as converged),
-    or after ``iter_max`` sweeps.
+    blocks are independent given the weights, so all move at once).  The
+    step is positive only where the quartic predicts a strict decrease.
+    Stops when the stacked matrix moves less than ``epsilon`` in Frobenius
+    norm, or when a sweep would still raise the full objective through
+    majorization slack or rounding (that sweep is discarded; both count as
+    converged), or after ``iter_max`` sweeps.
 
     The solve starts from ``init``, an (M, b, s) stack or a sequence of
     (b, s) blocks, when given, and from :func:`easiest_start` otherwise.
@@ -271,14 +275,10 @@ def bcd_solve(
         descent = -gradient(blocks, r, h, beta0, beta1)
         step = exact_step(line_quartic(blocks, descent, r, h, beta0, beta1))
         candidate = blocks + step[:, None, None] * descent
-        # The quartic is exact only up to rounding: keep a block's step only
-        # if its directly evaluated surrogate does not rise.
-        keep = surrogate(candidate, r, h, beta0, beta1) <= surrogate(blocks, r, h, beta0, beta1)
-        candidate = np.where(keep[:, None, None], candidate, blocks)
-        value = objective(candidate, r, beta0, beta1)
+        value = _value(candidate, r, beta0, beta1)
         if value > trace[-1]:
-            # Majorization slack (zeta) and rounding can still lift the full
-            # objective by ~1e-14; stop rather than record a rise.
+            # The one descent guard: zeta's majorization slack and rounding can
+            # lift the full objective by ~1e-14; stop rather than record a rise.
             converged = True
             break
         moved = float(np.sqrt(np.sum((candidate - blocks) ** 2)))

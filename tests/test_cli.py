@@ -170,6 +170,29 @@ def test_bench_rejects_unknown_variant_before_any_run(tmp_path, capsys, monkeypa
     assert runs == [] and not (tmp_path / "x.csv").exists()
 
 
+def test_bench_rejects_a_repeated_variant_before_any_run(tmp_path, capsys, monkeypatch):
+    # a repeat would duplicate result rows and take the summary std over the copies
+    data = synth(tmp_path)
+    runs = []
+    monkeypatch.setattr(hydent.cli, "run_baseline", lambda *args: runs.append(args))
+    code = main(["bench", "--data", str(data), "--repeats", "2",
+                 "--variants", "hydent,single-learner-flap,hydent", "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1 and "variant 'hydent' is repeated" in err
+    assert runs == [] and not (tmp_path / "x.csv").exists()
+
+
+def test_bench_rejects_a_repeated_labeled_size_before_any_run(tmp_path, capsys, monkeypatch):
+    data = synth(tmp_path)
+    runs = []
+    monkeypatch.setattr(hydent.cli, "run_baseline", lambda *args: runs.append(args))
+    code = main(["bench", "--data", str(data), "--repeats", "2", "--variants", "hydent",
+                 "--labeled-per-class", "1", "2", "2", "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1 and "--labeled-per-class size 2 is repeated" in err
+    assert runs == [] and not (tmp_path / "x.csv").exists()
+
+
 def test_bench_seed_list_must_match_repeats(tmp_path, capsys):
     data = synth(tmp_path)
     code = main(["bench", "--data", str(data), "--labeled-per-class", "1",

@@ -265,6 +265,22 @@ def test_labeled_indices_outside_the_dataset_are_rejected():
                 run_baseline(dataset, [17, bad], config, variant)
 
 
+def test_a_boolean_labeled_mask_is_rejected():
+    # read as integers, the mask [False, ..., True, ...] would label nodes 0 and 1
+    dataset, labeled_idx, _, config = small_problem(seed=0, n=20)
+    mask = np.zeros(dataset.n, dtype=bool)
+    mask[labeled_idx] = True
+    for variant in ("hydent", "hybrid-no-teaching"):
+        with pytest.raises(ValueError, match=r"np\.flatnonzero\(mask\)"):
+            run_baseline(dataset, mask, config, variant)
+
+
+def test_evaluate_rejects_a_boolean_mask():
+    pred = np.array([0, 1, 1, 0])
+    with pytest.raises(ValueError, match=r"np\.flatnonzero\(mask\)"):
+        evaluate(pred, pred, np.array([False, True, True, False]))
+
+
 def test_graph_work_runs_once_per_group_of_equal_edges(monkeypatch):
     # the default learners differ only in self-loops: distances are computed
     # once for the kNN pattern and the one weight build, and each solved round

@@ -7,6 +7,8 @@ Oracles used here:
     dense step grid plus the Wolfe search the solver used before the exact
     step, for the step itself,
   * a dense grid search for the 2-variable solver instance,
+  * the solver's former loop, which also kept a block's step only if its
+    directly evaluated surrogate did not rise, for the solver itself,
   * hand-worked values for the extraction example.
 """
 
@@ -15,6 +17,10 @@ import warnings
 import numpy as np
 import pytest
 
+import hydent.run
+import hydent.teaching
+from hydent.data import SplitSpec, split, synth_noisy_gaussian
+from hydent.run import RunConfig, run_hydent
 from hydent.teaching import (
     TeachingSolution,
     bcd_solve,
@@ -408,3 +414,101 @@ def test_bcd_solve_rejects_bad_sizes():
     with pytest.raises(ValueError):
         bcd_solve([np.eye(2)], 1.0, 1.0, 0)
 
+
+
+def two_guard_solve(r_list, beta0, beta1, s, init=None):
+    """The solver's former loop at bcd_solve's defaults, kept only as an oracle.
+
+    Besides the full-objective guard, it kept each block's step only if the
+    block's directly evaluated surrogate did not rise.
+    """
+    r = np.asarray(r_list, dtype=float)
+    s = min(s, r.shape[1])
+    blocks = easiest_start(r, s) if init is None else np.array(init, dtype=float)
+    trace = [objective(blocks, r, beta0, beta1)]
+    converged = False
+    for _ in range(300):
+        h = l21_weight_matrix(np.hstack(blocks), 1e-8)
+        descent = -gradient(blocks, r, h, beta0, beta1)
+        step = exact_step(line_quartic(blocks, descent, r, h, beta0, beta1))
+        candidate = blocks + step[:, None, None] * descent
+        keep = surrogate(candidate, r, h, beta0, beta1) <= surrogate(blocks, r, h, beta0, beta1)
+        candidate = np.where(keep[:, None, None], candidate, blocks)
+        value = objective(candidate, r, beta0, beta1)
+        if value > trace[-1]:
+            converged = True
+            break
+        moved = float(np.sqrt(np.sum((candidate - blocks) ** 2)))
+        blocks = candidate
+        trace.append(value)
+        if moved < 1e-4:
+            converged = True
+            break
+    curriculum, weights = extract_curriculum(blocks, s, 0.001)
+    return TeachingSolution(tuple(blocks), curriculum, weights, np.asarray(trace), converged)
+
+
+def assert_same_solution(got, want):
+    np.testing.assert_array_equal(np.stack(got.blocks), np.stack(want.blocks))
+    np.testing.assert_array_equal(got.curriculum, want.curriculum)
+    np.testing.assert_array_equal(got.weights, want.weights)
+    np.testing.assert_array_equal(got.objective_trace, want.objective_trace)
+    assert got.converged == want.converged
+
+
+def test_bcd_solve_matches_the_two_guard_loop_on_random_instances():
+    rng = np.random.default_rng(21)
+    for m in (1, 2, 3):
+        for _ in range(10):
+            blocks, r_list = random_instance(rng, m=m)
+            s = blocks[0].shape[1]
+            beta0, beta1 = 10.0 ** rng.uniform(-1, 2, size=2)
+            want = two_guard_solve(r_list, beta0, beta1, s)
+            assert_same_solution(bcd_solve(r_list, beta0, beta1, s), want)
+
+
+def protocol_solves(cov, seed):
+    """Every selection problem one protocol run poses: (score matrices, beta0, beta1, s)."""
+    dataset = synth_noisy_gaussian(100, cov, seed=seed)
+    labeled_idx, _ = split(dataset, SplitSpec(1, seed=seed))
+    posed = []
+    real = hydent.run.bcd_solve
+
+    def spy(r_list, beta0, beta1, s, **options):
+        posed.append((r_list, beta0, beta1, s))
+        return real(r_list, beta0, beta1, s, **options)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hydent.run, "bcd_solve", spy)
+        run_hydent(dataset, labeled_idx, RunConfig(seed=seed))
+    return posed
+
+
+def test_bcd_solve_matches_the_two_guard_loop_on_protocol_scores():
+    posed = protocol_solves(1.0, 0) + protocol_solves(1.5, 3)
+    assert len(posed) > 20
+    for r_list, beta0, beta1, s in posed:
+        assert_same_solution(bcd_solve(r_list, beta0, beta1, s), two_guard_solve(r_list, beta0, beta1, s))
+
+
+def test_bcd_solve_from_random_starts_keeps_the_two_guard_curriculum():
+    rng = np.random.default_rng(22)
+    for m in (1, 2, 3):
+        for _ in range(10):
+            blocks, r_list = random_instance(rng, m=m)
+            s = blocks[0].shape[1]
+            got = bcd_solve(r_list, 10.0, 10.0, s, init=blocks)
+            want = two_guard_solve(r_list, 10.0, 10.0, s, init=blocks)
+            np.testing.assert_array_equal(got.curriculum, want.curriculum)
+            assert np.all(np.diff(got.objective_trace) <= 0.0)
+
+
+def test_bcd_solve_never_evaluates_the_surrogate(monkeypatch):
+    # the full objective is the only descent guard; the surrogate is the
+    # gradient's and the line search's oracle, not part of the solve
+    def refuse(*args):
+        raise AssertionError("bcd_solve called surrogate")
+
+    monkeypatch.setattr(hydent.teaching, "surrogate", refuse)
+    _, r_list = random_instance(np.random.default_rng(23), b=8, s=2, m=2)
+    assert bcd_solve(r_list, 10.0, 10.0, 2).objective_trace.size > 1
