@@ -39,7 +39,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta1", type=float, default=base.beta1, help="binary/orthogonality weight")
     parser.add_argument("--gamma", type=float, default=base.gamma, help="feedback sharpness")
     parser.add_argument("--theta", type=float, default=base.theta, help="diffusion damping")
-    parser.add_argument("--seed", type=int, default=base.seed, help="split seed")
+    parser.add_argument("--seed", type=int, default=base.seed,
+                        help="split seed; bench's repeat r uses seed + r")
 
 
 def _config_from(args) -> RunConfig:
@@ -72,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--data", required=True)
     p_bench.add_argument("--labeled-per-class", type=int, nargs="+", default=[1])
     p_bench.add_argument("--repeats", type=int, default=10)
-    p_bench.add_argument("--seeds", type=int, nargs="+",
-                         help="one seed per repeat (default: 0..repeats-1)")
     p_bench.add_argument("--variants",
                          help="comma-separated variant names (default: hydent, hybrid-no-teaching, "
                               "then single-teacher-<k> and single-learner-<k> for each kernel k)")
@@ -127,9 +126,7 @@ def cmd_bench(args) -> int:
                 raise ValueError(f"{role} {value!r} is repeated; give each once")
     if args.repeats < 1:
         raise ValueError("repeats must be positive")
-    seeds = args.seeds if args.seeds is not None else list(range(args.repeats))
-    if len(seeds) != args.repeats:
-        raise ValueError(f"got {len(seeds)} seeds for {args.repeats} repeats")
+    seeds = range(config.seed, config.seed + args.repeats)
 
     rows = []
     cells = {}

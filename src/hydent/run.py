@@ -66,6 +66,9 @@ class RunConfig:
                 raise ValueError(f"unknown kernel {kernel!r}; choose from {KNOWN_KERNELS}")
             if kernel in self.kernels[:at]:
                 raise ValueError(f"kernel {kernel!r} is repeated; each learner kernel may appear once")
+        for name in ("sigma", "kappa2", "beta0", "beta1", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.k < 1 or self.sigma <= 0 or self.kappa2 <= 0:
             raise ValueError("k, sigma and kappa2 must be positive")
         if self.beta0 < 0 or self.beta1 < 0 or self.gamma <= 0:
@@ -121,19 +124,23 @@ def evaluate(predictions, truth, unlabeled_idx) -> float:
 
     An empty index set counts as vacuously perfect.
     """
-    unlabeled_idx = _indices(unlabeled_idx, "unlabeled")
-    if unlabeled_idx.size == 0:
-        return 1.0
     predictions = np.asarray(predictions)
     truth = np.asarray(truth)
+    unlabeled_idx = _indices(unlabeled_idx, "unlabeled", len(truth))
+    if unlabeled_idx.size == 0:
+        return 1.0
     return float(np.mean(predictions[unlabeled_idx] == truth[unlabeled_idx]))
 
 
-def _indices(idx, role):
-    """``idx`` as an int array; a boolean mask is refused, as it would read as the indices 0 and 1."""
+def _indices(idx, role, n):
+    """``idx`` as int indices in [0, n); a boolean mask is refused, as it would read as 0 and 1."""
     if np.asarray(idx).dtype == bool:
         raise ValueError(f"{role} indices were given as a boolean mask; pass np.flatnonzero(mask)")
-    return np.asarray(idx, dtype=int)
+    idx = np.asarray(idx, dtype=int)
+    outside = idx[(idx < 0) | (idx >= n)]
+    if outside.size:
+        raise ValueError(f"{role} index {outside[0]} is outside [0, {n})")
+    return idx
 
 
 def _build_graphs(features, config):
@@ -175,12 +182,9 @@ def _parse_variant(variant, config):
 
 def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
     started = time.perf_counter()
-    labeled_idx = _indices(labeled_idx, "labeled")
     n = dataset.n
     c = dataset.class_count
-    outside = labeled_idx[(labeled_idx < 0) | (labeled_idx >= n)]
-    if outside.size:
-        raise ValueError(f"labeled index {outside[0]} is outside [0, {n})")
+    labeled_idx = _indices(labeled_idx, "labeled", n)
     masked = np.full(n, -1, dtype=int)
     masked[labeled_idx] = dataset.labels[labeled_idx]
     if np.any(dataset.labels[labeled_idx] < 0):

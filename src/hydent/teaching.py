@@ -22,6 +22,8 @@ penalty weights are large against the scores, the solve settles next to
 whichever such block it starts near, so the start picks the curriculum.
 Unless given another start, :func:`bcd_solve` starts each teacher at its
 own best such block (:func:`easiest_start`), so the scores decide.
+
+The solver's numerics are the module constants below, read at call time.
 """
 
 from __future__ import annotations
@@ -31,21 +33,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+ZETA = 1e-8  # offset in the row-norm weights 1 / (2 ||row|| + ZETA); keeps zero rows finite
+EPSILON = 1e-4  # a sweep moving the stack less than this (Frobenius norm) ends the solve
+SWEEP_CAP = 300  # sweeps a solve may take before it stops unconverged
+CUTOFF = 0.001  # selection entries below this magnitude count as zero in the curriculum
+
 
 def l21_norm(matrix: np.ndarray) -> float:
     """Sum of row 2-norms."""
     return float(np.linalg.norm(matrix, axis=1).sum())
 
 
-def l21_weight_matrix(stacked: np.ndarray, zeta: float = 1e-8) -> np.ndarray:
-    """Diagonal of the row-norm reweighting matrix: 1 / (2 ||row||_2 + zeta).
+def l21_weight_matrix(stacked: np.ndarray) -> np.ndarray:
+    """Diagonal of the row-norm reweighting matrix: 1 / (2 ||row||_2 + ZETA).
 
     tr(S' diag(h) S) reproduces the row-sparsity term exactly in the limit
-    zeta -> 0; the small offset keeps the weights finite on zero rows.
+    ZETA -> 0; the small offset keeps the weights finite on zero rows.
     """
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
-    return 1.0 / (2.0 * np.linalg.norm(stacked, axis=1) + zeta)
+    return 1.0 / (2.0 * np.linalg.norm(stacked, axis=1) + ZETA)
 
 
 def _as_stack(blocks, r_list):
@@ -158,10 +163,10 @@ def exact_step(coefficients) -> np.ndarray:
     return np.take_along_axis(t, np.argmin(gain, axis=-1)[..., None], axis=-1)[..., 0]
 
 
-def extract_curriculum(blocks, s: int, threshold: float = 0.001):
+def extract_curriculum(blocks, s: int):
     """Pick the curriculum rows and per-teacher weights out of a solution.
 
-    Entries below ``threshold`` in magnitude are zeroed; rows are ranked by
+    Entries below ``CUTOFF`` in magnitude are zeroed; rows are ranked by
     surviving-entry count, then row norm, then candidate index, and the top
     ``s`` (or fewer, if thresholding left fewer nonzero rows) become the
     curriculum.  Each curriculum row gets per-teacher weights proportional
@@ -176,7 +181,7 @@ def extract_curriculum(blocks, s: int, threshold: float = 0.001):
     teachers = len(blocks)
     want = min(s, b)
 
-    kept = np.where(np.abs(stacked) >= threshold, stacked, 0.0)
+    kept = np.where(np.abs(stacked) >= CUTOFF, stacked, 0.0)
     counts = (kept != 0.0).sum(axis=1)
     if not counts.any():
         warnings.warn("every selection entry fell below the threshold; ranking by raw row norms")
@@ -229,18 +234,7 @@ class TeachingSolution:
     converged: bool
 
 
-def bcd_solve(
-    r_list,
-    beta0: float,
-    beta1: float,
-    s: int,
-    *,
-    zeta: float = 1e-8,
-    epsilon: float = 1e-4,
-    iter_max: int = 300,
-    threshold: float = 0.001,
-    init=None,
-) -> TeachingSolution:
+def bcd_solve(r_list, beta0: float, beta1: float, s: int, *, init=None) -> TeachingSolution:
     """Minimize the joint curriculum objective by batched block gradient sweeps.
 
     Each sweep refreshes the row-norm weights from the current stacked
@@ -248,10 +242,10 @@ def bcd_solve(
     exact minimizer of its quartic :func:`surrogate` along that line (the
     blocks are independent given the weights, so all move at once).  The
     step is positive only where the quartic predicts a strict decrease.
-    Stops when the stacked matrix moves less than ``epsilon`` in Frobenius
+    Stops when the stacked matrix moves less than ``EPSILON`` in Frobenius
     norm, or when a sweep would still raise the full objective through
     majorization slack or rounding (that sweep is discarded; both count as
-    converged), or after ``iter_max`` sweeps.
+    converged), or after ``SWEEP_CAP`` sweeps.
 
     The solve starts from ``init``, an (M, b, s) stack or a sequence of
     (b, s) blocks, when given, and from :func:`easiest_start` otherwise.
@@ -270,25 +264,25 @@ def bcd_solve(
 
     trace = [objective(blocks, r, beta0, beta1)]
     converged = False
-    for _ in range(iter_max):
-        h = l21_weight_matrix(np.hstack(blocks), zeta)
+    for _ in range(SWEEP_CAP):
+        h = l21_weight_matrix(np.hstack(blocks))
         descent = -gradient(blocks, r, h, beta0, beta1)
         step = exact_step(line_quartic(blocks, descent, r, h, beta0, beta1))
         candidate = blocks + step[:, None, None] * descent
         value = _value(candidate, r, beta0, beta1)
         if value > trace[-1]:
-            # The one descent guard: zeta's majorization slack and rounding can
+            # The one descent guard: ZETA's majorization slack and rounding can
             # lift the full objective by ~1e-14; stop rather than record a rise.
             converged = True
             break
         moved = float(np.sqrt(np.sum((candidate - blocks) ** 2)))
         blocks = candidate
         trace.append(value)
-        if moved < epsilon:
+        if moved < EPSILON:
             converged = True
             break
 
     if blocks.min() < -0.5 or blocks.max() > 1.5:
         warnings.warn("selection entries drifted outside [-0.5, 1.5]")
-    curriculum, weights = extract_curriculum(blocks, s, threshold)
+    curriculum, weights = extract_curriculum(blocks, s)
     return TeachingSolution(tuple(blocks), curriculum, weights, np.asarray(trace), converged)

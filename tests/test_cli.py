@@ -8,7 +8,8 @@ import pytest
 
 import hydent.cli
 from hydent.cli import main
-from hydent.run import RunConfig
+from hydent.data import SplitSpec, load_csv, split
+from hydent.run import RunConfig, run_baseline
 
 
 def synth(tmp_path, name="data.csv", n=12, cov=0.8, seed=0):
@@ -99,6 +100,16 @@ def test_solver_settings_are_not_flags(tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--data", str(data), flag, "1"])
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_run_rejects_non_finite_settings(tmp_path, capsys):
+    # a NaN width used to run to accuracy 0.5, and a NaN beta to fail inside numpy
+    data = synth(tmp_path)
+    for flag, value in (("--sigma", "nan"), ("--sigma", "inf"), ("--kappa2", "nan"),
+                        ("--beta0", "nan"), ("--beta1", "inf"), ("--gamma", "nan")):
+        capsys.readouterr()
+        assert main(["run", "--data", str(data), "--k", "4", flag, value]) == 1
+        assert f"error: {flag[2:]} must be finite" in capsys.readouterr().err
 
 
 def test_run_unknown_variant_fails_cleanly(tmp_path, capsys):
@@ -193,13 +204,24 @@ def test_bench_rejects_a_repeated_labeled_size_before_any_run(tmp_path, capsys, 
     assert runs == [] and not (tmp_path / "x.csv").exists()
 
 
-def test_bench_seed_list_must_match_repeats(tmp_path, capsys):
+def test_bench_repeats_count_up_from_the_seed(tmp_path, capsys):
+    # repeat r draws its split with seed --seed + r and runs with that seed
     data = synth(tmp_path)
-    code = main(["bench", "--data", str(data), "--labeled-per-class", "1",
-                 "--repeats", "3", "--seeds", "1", "2",
-                 "--out", str(tmp_path / "x.csv")])
-    assert code == 1
-    assert "seeds" in capsys.readouterr().err
+    path = tmp_path / "seeded.csv"
+    assert main(["bench", "--data", str(data), "--k", "4", "--seed", "5", "--repeats", "2",
+                 "--variants", "hydent", "--out", str(path)]) == 0
+    rows = [line.split(",") for line in path.read_text().splitlines() if ",summary," not in line]
+    dataset = load_csv(data)
+    want = []
+    for repeat, seed in enumerate((5, 6)):
+        labeled_idx, _ = split(dataset, SplitSpec(1, seed=seed))
+        result = run_baseline(dataset, labeled_idx, RunConfig(k=4, seed=seed), "hydent")
+        want.append(["hydent", "1", str(repeat), str(seed), repr(result.accuracy)])
+    assert rows == want
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    assert "--seeds" not in capsys.readouterr().out
 
 
 def test_ttest_reports_per_size_verdicts(tmp_path, capsys):

@@ -275,6 +275,14 @@ def test_a_boolean_labeled_mask_is_rejected():
             run_baseline(dataset, mask, config, variant)
 
 
+def test_evaluate_rejects_indices_outside_the_predictions():
+    # -1 must not wrap round to the last row, and n must not raise a bare IndexError
+    pred = np.array([0, 1, 1])
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=rf"unlabeled index {bad} is outside \[0, 3\)"):
+            evaluate(pred, pred, [bad])
+
+
 def test_evaluate_rejects_a_boolean_mask():
     pred = np.array([0, 1, 1, 0])
     with pytest.raises(ValueError, match=r"np\.flatnonzero\(mask\)"):
@@ -409,6 +417,13 @@ def test_config_validation():
         RunConfig(k=0)
     with pytest.raises(ValueError, match="kernel 'gaussian' is repeated"):
         RunConfig(kernels=("gaussian", "flap", "gaussian"))
+
+
+def test_config_rejects_non_finite_values():
+    for name in ("sigma", "kappa2", "beta0", "beta1", "gamma"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                RunConfig(**{name: value})
 
 
 def test_config_rejects_a_gamma_whose_first_feedback_underflows():

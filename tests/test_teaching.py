@@ -67,17 +67,16 @@ def test_l21_norm_hand_value():
 
 def test_l21_weight_matrix_values():
     stacked = np.array([[0.0, 0.0], [0.3, 0.4]])
-    h = l21_weight_matrix(stacked, zeta=1e-8)
+    h = l21_weight_matrix(stacked)
     assert h[0] == pytest.approx(1e8)  # 1 / (2 * 0 + zeta)
     assert h[1] == pytest.approx(1.0 / (1.0 + 1e-8))
-    with pytest.raises(ValueError):
-        l21_weight_matrix(stacked, zeta=0.0)
 
 
-def test_l21_weight_matrix_recovers_norm_in_limit():
+def test_l21_weight_matrix_recovers_norm_in_limit(monkeypatch):
+    monkeypatch.setattr(hydent.teaching, "ZETA", 1e-12)
     rng = np.random.default_rng(7)
     stacked = rng.random((6, 4))
-    h = l21_weight_matrix(stacked, zeta=1e-12)
+    h = l21_weight_matrix(stacked)
     via_h = np.trace(stacked.T @ (h[:, None] * stacked))
     # tr(S^T H S) with H from S itself halves to the l2,1 norm
     assert 2.0 * via_h == pytest.approx(l21_norm(stacked), abs=1e-6)
@@ -335,22 +334,25 @@ def test_bcd_solve_two_variable_grid_oracle():
     assert got <= want + 1e-2
 
 
-def test_bcd_solve_iteration_cap_flags_not_converged():
+def test_bcd_solve_iteration_cap_flags_not_converged(monkeypatch):
+    monkeypatch.setattr(hydent.teaching, "SWEEP_CAP", 2)
     rng = np.random.default_rng(15)
     blocks, r_list = random_instance(rng, b=8, s=2, m=2)
-    sol = bcd_solve(r_list, 10.0, 10.0, 2, init=np.random.default_rng(3).random((2, 8, 2)), iter_max=2)
+    sol = bcd_solve(r_list, 10.0, 10.0, 2, init=np.random.default_rng(3).random((2, 8, 2)))
     assert not sol.converged
     assert len(sol.objective_trace) == 3  # initial value plus two sweeps
 
 
-def test_bcd_solve_blocks_decouple_without_row_coupling():
+def test_bcd_solve_blocks_decouple_without_row_coupling(monkeypatch):
     # with beta0 = 0 the only cross-block term vanishes, so solving the
     # stacked problem must match solving each block alone step for step
+    monkeypatch.setattr(hydent.teaching, "EPSILON", 0.0)
+    monkeypatch.setattr(hydent.teaching, "SWEEP_CAP", 30)
     rng = np.random.default_rng(16)
     blocks, r_list = random_instance(rng, b=6, s=2, m=2)
-    joint = bcd_solve(r_list, 0.0, 5.0, 2, epsilon=0.0, iter_max=30, init=blocks)
+    joint = bcd_solve(r_list, 0.0, 5.0, 2, init=blocks)
     for m in range(2):
-        alone = bcd_solve([r_list[m]], 0.0, 5.0, 2, epsilon=0.0, iter_max=30, init=[blocks[m]])
+        alone = bcd_solve([r_list[m]], 0.0, 5.0, 2, init=[blocks[m]])
         np.testing.assert_allclose(joint.blocks[m], alone.blocks[0], atol=1e-9)
 
 
@@ -364,7 +366,7 @@ def test_bcd_solve_clamps_s_to_pool():
 def test_bcd_solve_respects_explicit_init():
     R = np.diag([1.0, 2.0])
     init = [np.full((2, 1), 0.5)]
-    sol = bcd_solve([R], 1.0, 1.0, 1, init=init, iter_max=1, epsilon=0.0)
+    sol = bcd_solve([R], 1.0, 1.0, 1, init=init)
     q0 = objective(init, [R], 1.0, 1.0)
     assert sol.objective_trace[0] == pytest.approx(q0)
     with pytest.raises(ValueError):
@@ -417,10 +419,12 @@ def test_bcd_solve_rejects_bad_sizes():
 
 
 def two_guard_solve(r_list, beta0, beta1, s, init=None):
-    """The solver's former loop at bcd_solve's defaults, kept only as an oracle.
+    """The solver's former loop at its numerics, kept only as an oracle.
 
     Besides the full-objective guard, it kept each block's step only if the
-    block's directly evaluated surrogate did not rise.
+    block's directly evaluated surrogate did not rise.  The numerics are
+    written out here (zeta 1e-8, epsilon 1e-4, 300 sweeps, cutoff 0.001), so
+    the comparison also pins the solver's constants.
     """
     r = np.asarray(r_list, dtype=float)
     s = min(s, r.shape[1])
@@ -428,7 +432,7 @@ def two_guard_solve(r_list, beta0, beta1, s, init=None):
     trace = [objective(blocks, r, beta0, beta1)]
     converged = False
     for _ in range(300):
-        h = l21_weight_matrix(np.hstack(blocks), 1e-8)
+        h = 1.0 / (2.0 * np.linalg.norm(np.hstack(blocks), axis=1) + 1e-8)
         descent = -gradient(blocks, r, h, beta0, beta1)
         step = exact_step(line_quartic(blocks, descent, r, h, beta0, beta1))
         candidate = blocks + step[:, None, None] * descent
@@ -444,7 +448,9 @@ def two_guard_solve(r_list, beta0, beta1, s, init=None):
         if moved < 1e-4:
             converged = True
             break
-    curriculum, weights = extract_curriculum(blocks, s, 0.001)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hydent.teaching, "CUTOFF", 0.001)
+        curriculum, weights = extract_curriculum(blocks, s)
     return TeachingSolution(tuple(blocks), curriculum, weights, np.asarray(trace), converged)
 
 
