@@ -28,7 +28,6 @@ from hydent import (
     make_teacher,
     next_size,
     split,
-    squared_distances,
     synth_noisy_gaussian,
     teaching_matrix,
 )
@@ -39,8 +38,8 @@ def main():
     dataset = synth_noisy_gaussian(100, 1.0, seed=0)
     labeled_idx, unlabeled_idx = split(dataset, SplitSpec(1, seed=0))
 
-    sq = squared_distances(dataset.features)
-    weights = gaussian_weights(knn_pattern(sq, config.k), sq, config.sigma)
+    # the kNN edges carry their squared distances; the weights go on the same edges
+    weights = gaussian_weights(knn_pattern(dataset.features, config.k), config.sigma)
     graph = assemble(weights)
     # the flap learner only adds self-loops, which stay out of the Laplacian,
     # so as in a run both learners share one frontier and one teacher

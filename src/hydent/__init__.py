@@ -20,13 +20,13 @@ from .data import (
 )
 from .feedback import feedback_value, next_size
 from .graph import (
+    Edges,
     LearnerGraph,
     assemble,
     commute_table,
     flap_style_weights,
     gaussian_weights,
     knn_pattern,
-    squared_distances,
 )
 from .propagate import final_labels, init_labels, propagate_round, steady_state
 from .run import (
@@ -68,6 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CLUSTER_CENTERS",
     "Dataset",
+    "Edges",
     "LearnerGraph",
     "RoundRecord",
     "RunConfig",
@@ -107,7 +108,6 @@ __all__ = [
     "run_hydent",
     "save_csv",
     "split",
-    "squared_distances",
     "steady_state",
     "surrogate",
     "synth_noisy_gaussian",

@@ -3,17 +3,28 @@
 Label scores live in a row-stochastic matrix F with one row per node and
 one column per class.  Labeled nodes start one-hot and stay pinned; nodes
 the ensemble has not reached yet keep their uniform prior.  Every learner
-propagates over the run's one iteration matrix P and differs only in its
-stay vector a, the share of its own scores each row keeps: the learner's
-iteration matrix is (1 - a) P + diag(a), zeros for the Gaussian learner and
-s / (degree + s) for flap.  Each round the current curriculum rows (and
-every previously learned row) are refreshed synchronously from the last
-state, blended across learners.
+propagates over the run's one iteration matrix P, held on the graph's
+sparse edges, and differs only in its stay vector a, the share of its own
+scores each row keeps: the learner's iteration matrix is
+(1 - a) P + diag(a), zeros for the Gaussian learner and s / (degree + s)
+for flap.  Each round the current curriculum rows (and every previously
+learned row) are refreshed synchronously from the last state, blended
+across learners.  The closing pass solves each learner's damped diffusion
+to its limit by conjugate gradients on the same edges, so no n x n system
+is built.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .graph import LearnerGraph
+
+# The closure's conjugate gradients stop once the diagonally scaled residual
+# is below CG_TOLERANCE * (1 - theta), which bounds every score's error by
+# CG_TOLERANCE; CG_SWEEP_CAP only guards against a solve that cannot converge.
+CG_TOLERANCE = 1e-15
+CG_SWEEP_CAP = 100_000
 
 
 def init_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
@@ -31,15 +42,15 @@ def init_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
     return scores
 
 
-def propagate_round(previous, iteration, curriculum, weights, learned, initial, stays):
-    """One synchronous refresh of the active rows.
+def propagate_round(previous, graph, curriculum, weights, learned, initial, stays):
+    """One synchronous refresh of the active rows over ``graph``'s iteration matrix P.
 
     ``stays`` holds one stay vector per learner.  ``curriculum`` rows are
     blended across learners with their per-row weights (each row sums to
     one); ``learned`` rows (from earlier rounds) are blended uniformly.  As
     every learner's update of a row is (1 - a) (P F)[row] + a F[row], the
-    blend is that update at the row's blended stay, so one product with P
-    serves every learner.  Every other row is reset to its ``initial``
+    blend is that update at the row's blended stay, so one sparse product
+    P F serves every learner.  Every other row is reset to its ``initial``
     value, which keeps labeled rows pinned and untouched rows at the prior.
     All updates read the same ``previous`` state.
     """
@@ -54,8 +65,9 @@ def propagate_round(previous, iteration, curriculum, weights, learned, initial, 
 
     rows = np.concatenate([learned, curriculum])
     stay = np.concatenate([stays[:, learned].mean(axis=0), (weights * stays[:, curriculum].T).sum(axis=1)])
+    spread = graph.product(graph.iteration, previous)
     scores = np.array(initial, dtype=float, copy=True)
-    scores[rows] = (1.0 - stay)[:, None] * (iteration[rows] @ previous) + stay[:, None] * previous[rows]
+    scores[rows] = (1.0 - stay)[:, None] * spread[rows] + stay[:, None] * previous[rows]
 
     sums = scores.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > 1e-12:
@@ -63,20 +75,56 @@ def propagate_round(previous, iteration, curriculum, weights, learned, initial, 
     return scores
 
 
-def steady_state(iteration: np.ndarray, scores: np.ndarray, theta: float, stay: np.ndarray) -> np.ndarray:
+def steady_state(graph: LearnerGraph, scores: np.ndarray, theta: float, stay: np.ndarray) -> np.ndarray:
     """Limit of the damped diffusion F <- theta P_a F + (1 - theta) F0.
 
     P_a = (1 - a) P + diag(a) is the iteration matrix of the learner with
-    stay vector ``stay``.  Solved directly as (I - theta P_a) X =
-    (1 - theta) F0, which is well posed for 0 <= theta < 1 because P_a is
-    row-stochastic.  The system is built in one n x n buffer.
+    stay vector ``stay`` over ``graph``, and the limit X solves
+    (I - theta P_a) X = (1 - theta) F0.  Row i of that system times
+    d_i / (1 - a_i) > 0 gives the symmetric system
+
+        (diag(d (1 - theta a) / (1 - a)) - theta W) X = diag(d / (1 - a)) (1 - theta) F0,
+
+    which is strictly diagonally dominant, hence positive definite, for
+    0 <= theta < 1 and 0 <= a < 1.  It is solved by Jacobi-preconditioned
+    conjugate gradients from X = F0, one column per class.  Each step is one
+    sparse product, and the number of steps grows like 1 / sqrt(1 - theta).
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
     stay = np.asarray(stay, dtype=float)
-    system = iteration * (-theta * (1.0 - stay))[:, None]
-    np.fill_diagonal(system, system.diagonal() + (1.0 - theta * stay))
-    return np.linalg.solve(system, (1.0 - theta) * scores)
+    if np.any(stay < 0.0) or np.any(stay >= 1.0):
+        raise ValueError("stay shares must lie in [0, 1)")
+    scores = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    scale = graph.degree / (1.0 - stay)
+    diagonal = (scale * (1.0 - theta * stay))[:, None]
+
+    def system(x):
+        return diagonal * x - theta * graph.product(graph.adjacency, x)
+
+    x = scores.copy()
+    residual = (scale * (1.0 - theta))[:, None] * scores - system(x)
+    z = residual / diagonal
+    direction = z.copy()
+    rz = np.einsum("ij,ij->j", residual, z)
+    for _ in range(CG_SWEEP_CAP):
+        if np.abs(z).max(initial=0.0) <= CG_TOLERANCE * (1.0 - theta):
+            return x
+        image = system(direction)
+        step = _ratio(rz, np.einsum("ij,ij->j", direction, image))
+        x += step * direction
+        residual -= step * image
+        z = residual / diagonal
+        rz, previous = np.einsum("ij,ij->j", residual, z), rz
+        direction = z + _ratio(rz, previous) * direction
+    raise RuntimeError(f"the closing diffusion did not converge in {CG_SWEEP_CAP} conjugate-gradient steps")
+
+
+def _ratio(top, bottom):
+    # a column already solved exactly has 0 / 0: it takes no step
+    return np.divide(top, bottom, out=np.zeros_like(top), where=bottom != 0.0)
 
 
 def final_labels(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -10,9 +10,11 @@ propagates one synchronous step, and measures feedback to size the
 next curriculum.  When nothing is left unlearned the per-learner damped
 diffusions are solved to their limits, averaged, and read out by argmax.
 
-Every learner shares one graph, built once per run: a learner is its stay
-vector over that graph (see ``propagate.py``), and one teacher judges for
-all of them.
+Every learner shares one sparse kNN graph, built once per run: a learner
+is its stay vector over that graph (see ``propagate.py``), and one teacher
+judges for all of them.  A run without teachers holds no n x n array; a
+taught run's only ones are the graph's Laplacian and spectrum and the
+teacher's running covariance.
 
 Ablation variants reuse the same driver so that, for example, the full
 method with one learner and the coupling weight at zero reproduces the
@@ -30,7 +32,7 @@ import numpy as np
 
 from .data import Dataset
 from .feedback import feedback_value, next_size
-from .graph import assemble, flap_style_weights, gaussian_weights, knn_pattern, squared_distances
+from .graph import assemble, flap_style_weights, gaussian_weights, knn_pattern
 from .propagate import final_labels, init_labels, propagate_round, steady_state
 from .teacher import candidate_set, make_teacher, teaching_matrix
 from .teaching import bcd_solve
@@ -122,10 +124,14 @@ class RunResult:
 def evaluate(predictions, truth, unlabeled_idx) -> float:
     """Fraction of the given indices predicted correctly.
 
-    An empty index set counts as vacuously perfect.
+    ``predictions`` and ``truth`` must have one entry per row.  An empty
+    index set counts as vacuously perfect.
     """
     predictions = np.asarray(predictions)
     truth = np.asarray(truth)
+    if predictions.shape != truth.shape:
+        raise ValueError(f"{predictions.size} predictions for {truth.size} true labels; "
+                         "evaluate needs one prediction per row of truth")
     unlabeled_idx = _indices(unlabeled_idx, "unlabeled", len(truth))
     if unlabeled_idx.size == 0:
         return 1.0
@@ -149,9 +155,7 @@ def _build_graphs(features, config):
     Every kernel keeps the Gaussian edge weights; flap only adds self-loops,
     which make each row keep the share s / (degree + s) of its own scores.
     """
-    sq = squared_distances(features)
-    weights = gaussian_weights(knn_pattern(sq, config.k), sq, config.sigma)
-    del sq  # the graph needs only the weights
+    weights = gaussian_weights(knn_pattern(features, config.k), config.sigma)
     graph = assemble(weights)
     stays = np.zeros((len(config.kernels), graph.n))  # the Gaussian learner keeps no share
     if "flap" in config.kernels:
@@ -223,7 +227,7 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
             objective = np.empty(0)
             converged = None
 
-        scores = propagate_round(scores, graph.iteration, chosen, weights, learned, start, stays)
+        scores = propagate_round(scores, graph, chosen, weights, learned, start, stays)
         feedback = feedback_value(scores[chosen], c, config.gamma)
         learned = np.concatenate([learned, chosen])
         remaining = np.setdiff1d(remaining, chosen)
@@ -244,12 +248,7 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
         if round_hook is not None:
             round_hook(record)
 
-    # frees the teacher's running covariance and the graph's adjacency,
-    # Laplacian and spectrum before the closing pass, which needs only the
-    # iteration matrix
-    iteration = graph.iteration
-    teacher = graph = None
-    limits = [steady_state(iteration, scores, config.theta, stay) for stay in stays]
+    limits = [steady_state(graph, scores, config.theta, stay) for stay in stays]
     mean_scores = sum(limits) / len(limits)
     predictions = final_labels(mean_scores, masked)
     accuracy = evaluate(predictions, dataset.labels, unlabeled0)

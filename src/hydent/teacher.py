@@ -80,10 +80,12 @@ def candidate_set(
 ) -> np.ndarray:
     """Frontier candidates: unlabeled direct neighbors of the labeled set.
 
-    Every learner of a run shares ``graph``'s edges, so every teacher scores
-    this one candidate list.  If no unlabeled example touches the labeled
-    set (a disconnected frontier) the whole unlabeled set is promoted, so
-    the propagation loop can always make progress.
+    One pass over ``graph``'s edges asks, for every node, whether any
+    neighbor is labeled.  Every learner of a run shares ``graph``'s edges,
+    so every teacher scores this one candidate list.  If no unlabeled
+    example touches the labeled set (a disconnected frontier) the whole
+    unlabeled set is promoted, so the propagation loop can always make
+    progress.
     """
     labeled = np.asarray(labeled, dtype=int)
     unlabeled = np.asarray(unlabeled, dtype=int)
@@ -91,7 +93,11 @@ def candidate_set(
         return np.empty(0, dtype=int)
     if labeled.size == 0:
         raise ValueError("labeled set must be nonempty")
-    frontier = graph.adjacency[np.ix_(unlabeled, labeled)].sum(axis=1) > 0
+    anchored = np.zeros(graph.n, dtype=bool)
+    anchored[labeled] = True
+    # every row of an assembled graph has an edge, so no reduceat segment is empty
+    touches = np.logical_or.reduceat(anchored[graph.indices], graph.indptr[:-1])
+    frontier = touches[unlabeled]
     if not frontier.any():
         return np.sort(unlabeled)
     return np.sort(unlabeled[frontier])

@@ -1,0 +1,127 @@
+"""Dense reference implementations of the graph core, for tests only.
+
+The library keeps the kNN graph as compressed sparse rows and never builds
+an n x n distance, weight or iteration matrix.  These are the dense
+versions it replaced: every n x n array built in full, the kNN picked by a
+stable sort of whole distance rows, and the closing diffusion solved
+directly.  Tests compare the sparse code against them, and use
+:func:`sparse` and :func:`graph_of` to hand small dense matrices to the
+sparse API.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from hydent.graph import Edges, LearnerGraph, _edges, assemble as assemble_sparse
+
+
+def sparse(matrix) -> Edges:
+    """The nonzero entries of a dense matrix as CSR rows (any shape; ``assemble`` checks it)."""
+    matrix = np.asarray(matrix, dtype=float)
+    rows, cols = np.nonzero(matrix)
+    return _edges(matrix.shape[0], rows, cols, matrix[rows, cols])
+
+
+def dense(edges: Edges) -> np.ndarray:
+    """Square CSR rows back to a dense matrix."""
+    indptr, indices, values = edges
+    n = indptr.size - 1
+    matrix = np.zeros((n, n))
+    matrix[np.repeat(np.arange(n), np.diff(indptr)), indices] = values
+    return matrix
+
+
+def graph_of(W) -> LearnerGraph:
+    """The library's graph for a dense symmetric weight matrix."""
+    return assemble_sparse(sparse(W))
+
+
+def iteration_graph(P) -> LearnerGraph:
+    """A graph whose iteration matrix is the row-stochastic ``P`` itself (unit degrees).
+
+    ``P`` need not be symmetric, so this is built directly rather than
+    through ``assemble``; it serves :func:`hydent.propagate.propagate_round`,
+    which reads only the iteration matrix.
+    """
+    edges = sparse(P)
+    return LearnerGraph(edges.indptr, edges.indices, edges.values, np.ones(np.shape(P)[0]), edges.values)
+
+
+def squared_distances(features: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, clamped at zero."""
+    features = np.asarray(features, dtype=float)
+    norms = np.einsum("ij,ij->i", features, features)
+    sq = norms[:, None] + norms[None, :] - 2.0 * features @ features.T
+    return np.maximum(sq, 0.0)
+
+
+def knn_pattern(sq: np.ndarray, k: int) -> np.ndarray:
+    """Boolean symmetric kNN pattern: a stable sort of each row, lower index first on ties."""
+    masked = np.array(sq, dtype=float)
+    n = masked.shape[0]
+    np.fill_diagonal(masked, np.inf)
+    order = np.argsort(masked, axis=1, kind="stable")[:, :k]
+    pattern = np.zeros((n, n), dtype=bool)
+    pattern[np.repeat(np.arange(n), k), order.ravel()] = True
+    return pattern | pattern.T
+
+
+def gaussian_weights(pattern: np.ndarray, sq: np.ndarray, sigma: float) -> np.ndarray:
+    """Dense Gaussian weights on the pattern's edges; an underflowed edge keeps weight 0."""
+    weights = np.zeros(sq.shape)
+    weights[pattern] = np.exp(-sq[pattern] / (2.0 * sigma**2))
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
+def flap_style_weights(weights: np.ndarray) -> np.ndarray:
+    """Each row's strongest weight."""
+    return np.asarray(weights, dtype=float).max(axis=1)
+
+
+class DenseGraph(NamedTuple):
+    adjacency: np.ndarray
+    degree: np.ndarray
+    iteration: np.ndarray
+    laplacian: np.ndarray
+
+
+def assemble(W: np.ndarray) -> DenseGraph:
+    """Degree, iteration matrix and the Laplacian of the off-diagonal weights, all dense."""
+    W = np.asarray(W, dtype=float)
+    degree = W.sum(axis=1)
+    laplacian = 0.0 - W
+    np.fill_diagonal(laplacian, 0.0)
+    np.fill_diagonal(laplacian, -laplacian.sum(axis=1))
+    return DenseGraph(W, degree, W / degree[:, None], laplacian)
+
+
+def candidate_set(W: np.ndarray, labeled, unlabeled) -> np.ndarray:
+    """Unlabeled nodes with a nonzero weight to a labeled one, else every unlabeled node."""
+    labeled = np.asarray(labeled, dtype=int)
+    unlabeled = np.asarray(unlabeled, dtype=int)
+    frontier = W[np.ix_(unlabeled, labeled)].sum(axis=1) > 0
+    return np.sort(unlabeled[frontier] if frontier.any() else unlabeled)
+
+
+def propagate_round(previous, P, curriculum, weights, learned, initial, stays):
+    """The refresh with dense row gathers of P."""
+    rows = np.concatenate([learned, curriculum]).astype(int)
+    stay = np.concatenate([stays[:, learned].mean(axis=0), (weights * stays[:, curriculum].T).sum(axis=1)])
+    scores = np.array(initial, dtype=float, copy=True)
+    scores[rows] = (1.0 - stay)[:, None] * (P[rows] @ previous) + stay[:, None] * previous[rows]
+    sums = scores.sum(axis=1)
+    if np.max(np.abs(sums - 1.0)) > 1e-12:
+        scores /= sums[:, None]
+    return scores
+
+
+def steady_state(P: np.ndarray, scores: np.ndarray, theta: float, stay: np.ndarray) -> np.ndarray:
+    """(I - theta ((1 - a) P + diag(a)))^-1 (1 - theta) F0 by one dense solve."""
+    stay = np.asarray(stay, dtype=float)
+    system = P * (-theta * (1.0 - stay))[:, None]
+    np.fill_diagonal(system, system.diagonal() + (1.0 - theta * stay))
+    return np.linalg.solve(system, (1.0 - theta) * scores)

@@ -16,7 +16,8 @@ import time
 import numpy as np
 
 from hydent.data import SplitSpec, split, synth_noisy_gaussian
-from hydent.graph import assemble, commute_table
+from dense_oracle import graph_of
+from hydent.graph import commute_table
 from hydent.run import RunConfig, paired_t_test, run_baseline
 from hydent.teacher import reliability_term
 from hydent.teaching import bcd_solve, gradient, surrogate
@@ -179,7 +180,7 @@ def test_07_commute_times_equal_effective_resistance():
     worst = 0.0
     for _ in range(20):
         n = int(rng.integers(4, 11))
-        g = assemble(random_connected_adjacency(rng, n))
+        g = graph_of(random_connected_adjacency(rng, n))
         table = commute_table(g)
         pinv = np.linalg.pinv(g.laplacian)
         for i in range(n):
@@ -202,7 +203,7 @@ def test_08_trace_and_entropy_rank_candidates_identically():
     trials = 20
     for _ in range(trials):
         n = int(rng.integers(10, 18))
-        g = assemble(random_connected_adjacency(rng, n))
+        g = graph_of(random_connected_adjacency(rng, n))
         perm = rng.permutation(n)
         labeled = perm[: int(rng.integers(2, 5))]
         pool = perm[len(labeled) : len(labeled) + int(rng.integers(2, 9))]

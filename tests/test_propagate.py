@@ -3,13 +3,17 @@
 A learner is a stay vector over the run's one iteration matrix.  The flap
 oracles check that form, as a run builds it, against the dense graph flap
 used to be built as: the Gaussian weights plus a diagonal of self-loops,
-assembled on their own.
+assembled on their own.  The sparse product and the conjugate-gradient
+closure are checked against the dense row gathers and the dense solve they
+replaced (``dense_oracle``).
 """
 
 import numpy as np
 import pytest
 
-from hydent.graph import assemble, flap_style_weights
+import dense_oracle as oracle
+from dense_oracle import dense, graph_of, iteration_graph
+from hydent.graph import Edges, flap_style_weights
 from hydent.propagate import (
     final_labels,
     init_labels,
@@ -18,15 +22,23 @@ from hydent.propagate import (
 )
 from hydent.run import RunConfig, _build_graphs
 
-SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+SWAP = graph_of([[0.0, 1.0], [1.0, 0.0]])
 ONE_GAUSSIAN = np.zeros((1, 2))
 
 
-def random_iteration(rng, n):
+def random_graph(rng, n):
     W = rng.random((n, n)) + 0.05
     W = 0.5 * (W + W.T)
     np.fill_diagonal(W, 0.0)
-    return assemble(W).iteration
+    return graph_of(W)
+
+
+def iteration_of(graph):
+    return dense((graph.indptr, graph.indices, graph.iteration))
+
+
+def weights_of(graph):
+    return Edges(graph.indptr, graph.indices, graph.adjacency)
 
 
 def test_init_labels_one_hot_and_uniform():
@@ -64,7 +76,7 @@ def test_propagate_round_two_node_adoption():
 def test_propagate_round_untouched_rows_keep_initial_bits():
     rng = np.random.default_rng(21)
     initial = init_labels(np.array([0, -1, -1, 1, -1]), 2)
-    p = random_iteration(rng, 5)
+    p = random_graph(rng, 5)
     F = propagate_round(
         initial,
         p,
@@ -81,7 +93,7 @@ def test_propagate_round_untouched_rows_keep_initial_bits():
 
 # node 2 hangs off node 0; the first learner moves it there, the second
 # (stay 1) keeps its own row
-PULL = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+PULL = iteration_graph([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 MOVE_AND_STAY = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
 
 
@@ -116,7 +128,7 @@ def test_propagate_round_learned_rows_average_uniformly():
 
 def test_propagate_round_rejects_overlap():
     initial = init_labels(np.array([0, -1, -1]), 2)
-    p, stays = np.eye(3), np.zeros((1, 3))
+    p, stays = iteration_graph(np.eye(3)), np.zeros((1, 3))
     with pytest.raises(ValueError):
         propagate_round(initial, p, np.array([1]), np.array([[1.0]]), np.array([1]), initial, stays)
     with pytest.raises(ValueError, match="one weight row"):
@@ -131,7 +143,7 @@ def test_propagate_round_row_sums_stay_one():
     F = init_labels(labels, 2)
     initial = F.copy()
     learned = np.array([], dtype=int)
-    p = random_iteration(rng, n)
+    p = random_graph(rng, n)
     stays = np.vstack([np.zeros(n), rng.random(n)])
     for batch in (np.array([2, 3, 4]), np.array([5, 6]), np.array([7, 8, 9, 10, 11])):
         weights = rng.dirichlet(np.ones(2), size=batch.size)
@@ -142,14 +154,14 @@ def test_propagate_round_row_sums_stay_one():
 
 def test_steady_state_theta_zero_is_identity():
     rng = np.random.default_rng(23)
-    p = random_iteration(rng, 6)
+    p = random_graph(rng, 6)
     F = rng.dirichlet(np.ones(3), size=6)
     np.testing.assert_allclose(steady_state(p, F, 0.0, np.zeros(6)), F, atol=1e-12)
 
 
 def test_steady_state_constant_rows_are_fixed():
     rng = np.random.default_rng(24)
-    p = random_iteration(rng, 5)
+    p = random_graph(rng, 5)
     F = np.tile([0.2, 0.8], (5, 1))
     np.testing.assert_allclose(steady_state(p, F, 0.05, np.zeros(5)), F, atol=1e-10)
 
@@ -165,12 +177,12 @@ def test_steady_state_two_node_closed_form():
 
 def test_steady_state_preserves_row_sums():
     rng = np.random.default_rng(25)
-    p = random_iteration(rng, 9)
+    p = random_graph(rng, 9)
     F = rng.dirichlet(np.ones(4), size=9)
     stay = rng.random(9)
     out = steady_state(p, F, 0.05, stay)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-8)
-    looped = (1.0 - stay)[:, None] * p + np.diag(stay)
+    looped = (1.0 - stay)[:, None] * iteration_of(p) + np.diag(stay)
     residual = (np.eye(9) - 0.05 * looped) @ out - 0.95 * F
     assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(F)
 
@@ -190,8 +202,8 @@ def flap_cases():
     for n, k, sigma, kernels in ((12, 2, 1.0, ("flap",)), (40, 4, 0.7, ("gaussian", "flap")),
                                  (90, 5, 1.3, ("flap", "gaussian"))):
         graph, stays = _build_graphs(rng.normal(size=(n, 2)), RunConfig(kernels=kernels, k=k, sigma=sigma))
-        weights = graph.adjacency
-        yield graph, stays[kernels.index("flap")], assemble(weights + np.diag(flap_style_weights(weights)))
+        weights = dense(weights_of(graph))
+        yield graph, stays[kernels.index("flap")], oracle.assemble(weights + np.diag(oracle.flap_style_weights(weights)))
 
 
 def per_learner_blend(previous, iterations, curriculum, weights, learned, initial):
@@ -206,14 +218,16 @@ def per_learner_blend(previous, iterations, curriculum, weights, learned, initia
 
 
 def test_flap_stay_form_is_the_looped_iteration_matrix():
-    for plain, stay, dense in flap_cases():
-        looped = (1.0 - stay)[:, None] * plain.iteration + np.diag(stay)
-        np.testing.assert_allclose(looped, dense.iteration, rtol=0.0, atol=1e-15)
+    for plain, stay, looped_graph in flap_cases():
+        loops = flap_style_weights(weights_of(plain))
+        np.testing.assert_array_equal(stay, loops / (plain.degree + loops))
+        looped = (1.0 - stay)[:, None] * iteration_of(plain) + np.diag(stay)
+        np.testing.assert_allclose(looped, looped_graph.iteration, rtol=0.0, atol=1e-15)
 
 
 def test_propagate_round_stays_match_the_per_learner_blend():
     rng = np.random.default_rng(32)
-    for plain, stay, dense in flap_cases():
+    for plain, stay, looped in flap_cases():
         n = plain.n
         labels = np.full(n, -1)
         labels[:2] = [0, 1]
@@ -222,21 +236,56 @@ def test_propagate_round_stays_match_the_per_learner_blend():
         learned = np.array([], dtype=int)
         for batch in np.array_split(rng.permutation(np.arange(2, n)), 4):
             weights = rng.dirichlet(np.ones(2), size=batch.size)
-            learners = [plain.iteration, dense.iteration]
+            learners = [iteration_of(plain), looped.iteration]
             expected = per_learner_blend(F, learners, batch, weights, learned, initial)
-            F = propagate_round(F, plain.iteration, batch, weights, learned, initial, stays)
+            dense_round = oracle.propagate_round(F, iteration_of(plain), batch, weights, learned, initial, stays)
+            F = propagate_round(F, plain, batch, weights, learned, initial, stays)
             np.testing.assert_allclose(F, expected, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(F, dense_round, rtol=0.0, atol=1e-15)
             learned = np.concatenate([learned, batch])
+
+
+THETAS = (0.0, 0.05, 0.5, 0.99, 0.9999)
 
 
 def test_steady_state_with_stays_matches_the_looped_graph():
     rng = np.random.default_rng(33)
-    for plain, stay, dense in flap_cases():
+    for plain, stay, looped in flap_cases():
         F = rng.dirichlet(np.ones(3), size=plain.n)
-        for theta in (0.05, 0.5, 0.99):
-            np.testing.assert_allclose(steady_state(plain.iteration, F, theta, stay),
-                                       steady_state(dense.iteration, F, theta, np.zeros(plain.n)),
-                                       rtol=0.0, atol=1e-12)
+        for theta in THETAS:
+            for learner_stay, learner_p in ((stay, looped.iteration), (np.zeros(plain.n), iteration_of(plain))):
+                np.testing.assert_allclose(steady_state(plain, F, theta, learner_stay),
+                                           oracle.steady_state(learner_p, F, theta, np.zeros(plain.n)),
+                                           rtol=0.0, atol=1e-12, err_msg=f"theta={theta}")
+
+
+def test_steady_state_keeps_an_unlabeled_component_at_its_prior():
+    # two components; only the first holds labeled rows, the second sits at the
+    # uniform prior, which every theta leaves in place
+    rng = np.random.default_rng(34)
+    W = np.zeros((60, 60))
+    for block in (slice(0, 35), slice(35, 60)):
+        part = rng.random((block.stop - block.start,) * 2) * (rng.random((block.stop - block.start,) * 2) < 0.2)
+        part = part + part.T + np.diag(np.ones(block.stop - block.start - 1), 1)
+        W[block, block] = part + part.T
+    np.fill_diagonal(W, 0.0)
+    graph = graph_of(W)
+    F = np.full((60, 2), 0.5)
+    F[:35] = rng.dirichlet(np.ones(2), size=35)
+    F[[0, 7]] = [[1.0, 0.0], [0.0, 1.0]]
+    loops = flap_style_weights(weights_of(graph))
+    for stay in (np.zeros(60), loops / (graph.degree + loops)):
+        for theta in THETAS:
+            limit = steady_state(graph, F, theta, stay)
+            P = (1.0 - stay)[:, None] * iteration_of(graph) + np.diag(stay)
+            np.testing.assert_allclose(limit, oracle.steady_state(P, F, theta, np.zeros(60)),
+                                       rtol=0.0, atol=1e-12, err_msg=f"theta={theta}")
+            np.testing.assert_allclose(limit[35:], 0.5, rtol=0.0, atol=1e-12)
+
+
+def test_steady_state_rejects_a_stay_of_one():
+    with pytest.raises(ValueError, match="stay"):
+        steady_state(SWAP, np.eye(2), 0.5, np.ones(2))
 
 
 def test_final_labels_argmax_and_pinning():

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ import hydent.graph
 import hydent.run
 import hydent.teacher
 from hydent.data import SplitSpec, split, synth_noisy_gaussian
-from hydent.graph import assemble
 from hydent.teacher import gap_matrix, reliability_term
 from hydent.run import (
     RunConfig,
@@ -244,7 +244,7 @@ def test_every_variant_assembles_one_graph(monkeypatch):
     assemble, calls = hydent.run.assemble, []
 
     def spy(adjacency):
-        calls.append(adjacency.shape)
+        calls.append(assemble(adjacency).n)
         return assemble(adjacency)
 
     monkeypatch.setattr(hydent.run, "assemble", spy)
@@ -253,7 +253,21 @@ def test_every_variant_assembles_one_graph(monkeypatch):
                     "single-learner-gaussian", "single-learner-flap"):
         calls.clear()
         run_baseline(dataset, labeled_idx, config, variant)
-        assert calls == [(dataset.n, dataset.n)], variant
+        assert calls == [dataset.n], variant
+
+
+def test_no_teaching_run_allocates_no_dense_square():
+    # at n = 2000 one n x n float64 array is 32 MB; the sparse graph core,
+    # propagation and closure together must peak below it
+    dataset = synth_noisy_gaussian(1000, 1.0, seed=1000)
+    labeled_idx, _ = split(dataset, SplitSpec(1, seed=1000))
+    tracemalloc.start()
+    try:
+        run_baseline(dataset, labeled_idx, RunConfig(seed=1000), "hybrid-no-teaching")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dataset.n * dataset.n * 8, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_labeled_indices_outside_the_dataset_are_rejected():
@@ -283,6 +297,14 @@ def test_evaluate_rejects_indices_outside_the_predictions():
             evaluate(pred, pred, [bad])
 
 
+def test_evaluate_rejects_predictions_of_another_length():
+    # one prediction short used to raise a bare IndexError, and one extra
+    # prediction went unnoticed
+    for pred, truth, idx in (([0, 1], [0, 1, 1], [2]), ([0, 1, 1, 0], [0, 1, 1], [0, 1, 2])):
+        with pytest.raises(ValueError, match=f"{len(pred)} predictions for {len(truth)} true labels"):
+            evaluate(pred, truth, idx)
+
+
 def test_evaluate_rejects_a_boolean_mask():
     pred = np.array([0, 1, 1, 0])
     with pytest.raises(ValueError, match=r"np\.flatnonzero\(mask\)"):
@@ -290,11 +312,12 @@ def test_evaluate_rejects_a_boolean_mask():
 
 
 def test_graph_work_runs_once_per_group_of_equal_edges(monkeypatch):
-    # the default learners differ only in self-loops: distances are computed
-    # once for the kNN pattern and the one weight build, and each solved round
-    # scores its one teacher once
-    distances, score, solve = hydent.graph.squared_distances, hydent.run.teaching_matrix, hydent.run.bcd_solve
-    calls = {"distances": 0, "scored": 0, "solved": 0}
+    # the default learners differ only in self-loops: the kNN step computes
+    # the distances once, the one weight build reads them off its edges, and
+    # each solved round scores its one teacher once
+    knn, weights, score, solve = (hydent.run.knn_pattern, hydent.run.gaussian_weights,
+                                  hydent.run.teaching_matrix, hydent.run.bcd_solve)
+    calls = {"knn": 0, "weights": 0, "scored": 0, "solved": 0}
 
     def count(name, fn):
         def spy(*args, **kwargs):
@@ -302,13 +325,13 @@ def test_graph_work_runs_once_per_group_of_equal_edges(monkeypatch):
             return fn(*args, **kwargs)
         return spy
 
-    monkeypatch.setattr(hydent.graph, "squared_distances", count("distances", distances))
-    monkeypatch.setattr(hydent.run, "squared_distances", count("distances", distances))
+    monkeypatch.setattr(hydent.run, "knn_pattern", count("knn", knn))
+    monkeypatch.setattr(hydent.run, "gaussian_weights", count("weights", weights))
     monkeypatch.setattr(hydent.run, "teaching_matrix", count("scored", score))
     monkeypatch.setattr(hydent.run, "bcd_solve", count("solved", solve))
     dataset, labeled_idx, _, config = small_problem(seed=12)
     run_hydent(dataset, labeled_idx, config)
-    assert calls["distances"] == 1
+    assert calls["knn"] == calls["weights"] == 1
     assert calls["solved"] >= 3 and calls["scored"] == calls["solved"]
 
 

@@ -13,7 +13,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from hydent.graph import assemble, commute_table, knn_pattern, gaussian_weights, squared_distances
+import dense_oracle as oracle
+from dense_oracle import dense, graph_of
+from hydent.graph import assemble, commute_table, gaussian_weights, knn_pattern
 from hydent.teacher import (
     GAP_FLOOR,
     TeacherState,
@@ -45,12 +47,11 @@ def path_graph(positions):
     W = np.zeros((len(order), len(order)))
     for a, b in zip(order[:-1], order[1:]):
         W[a, b] = W[b, a] = 1.0
-    return assemble(W)
+    return graph_of(W)
 
 
 def random_graph(rng, n, k=3):
-    sq = squared_distances(rng.normal(size=(n, 2)))
-    return assemble(gaussian_weights(knn_pattern(sq, k), sq, 1.0))
+    return assemble(gaussian_weights(knn_pattern(rng.normal(size=(n, 2)), k), 1.0))
 
 
 def prior(graph, kappa2=100.0):
@@ -81,7 +82,7 @@ def loop_gaps(commute, candidates, labeled_by_class):
 
 
 def test_covariance_two_node_closed_form():
-    sigma = prior(assemble(TWO_NODE))
+    sigma = prior(graph_of(TWO_NODE))
     expected = np.array([[1.01, 1.0], [1.0, 1.01]]) / 0.0201
     np.testing.assert_allclose(sigma, expected, rtol=1e-10)
     np.testing.assert_allclose(sigma, [[50.2488, 49.7512], [49.7512, 50.2488]], atol=1e-4)
@@ -103,11 +104,11 @@ def test_covariance_small_kappa_limit():
 def test_covariance_requires_positive_kappa():
     for kappa2 in (0.0, -1.0):
         with pytest.raises(ValueError):
-            make_teacher(assemble(TWO_NODE), kappa2=kappa2)
+            make_teacher(graph_of(TWO_NODE), kappa2=kappa2)
 
 
 def test_make_teacher_bundles_state():
-    g = assemble(TWO_NODE)
+    g = graph_of(TWO_NODE)
     teacher = make_teacher(g)
     assert isinstance(teacher, TeacherState)
     assert [f.name for f in fields(teacher)] == ["graph", "kappa2", "free", "sigma"]
@@ -119,7 +120,7 @@ def test_make_teacher_bundles_state():
 
 
 def test_reliability_two_node_scalar():
-    g = assemble(TWO_NODE)
+    g = graph_of(TWO_NODE)
     rel = reliability_term(g.laplacian, 100.0, [1], [0])
     s = prior(g)
     expected = s[1, 1] - s[1, 0] ** 2 / s[0, 0]
@@ -147,9 +148,8 @@ def two_component_graph(rng, n):
     half = n // 2
     W = np.zeros((n, n))
     for block in (slice(0, half), slice(half, n)):
-        sq = squared_distances(rng.normal(size=(block.stop - block.start, 2)))
-        W[block, block] = gaussian_weights(knn_pattern(sq, 3), sq, 1.0)
-    return assemble(W)
+        W[block, block] = dense(gaussian_weights(knn_pattern(rng.normal(size=(block.stop - block.start, 2)), 3), 1.0))
+    return graph_of(W)
 
 
 @pytest.mark.parametrize("seed, split", [(5, False), (6, False), (7, True)])
@@ -218,7 +218,7 @@ def test_reliability_disjoint_components_keep_prior():
     W = np.zeros((4, 4))
     W[0, 1] = W[1, 0] = 1.0
     W[2, 3] = W[3, 2] = 1.0
-    g = assemble(W)
+    g = graph_of(W)
     rel = reliability_term(g.laplacian, 100.0, [2, 3], [0, 1])
     np.testing.assert_allclose(rel, prior(g)[np.ix_([2, 3], [2, 3])], atol=1e-8)
     np.testing.assert_allclose(rel, schur_oracle(g, 100.0, [2, 3], [0, 1]), rtol=1e-10)
@@ -320,7 +320,7 @@ def test_candidate_set_promotes_all_when_disconnected():
     W = np.zeros((4, 4))
     W[0, 1] = W[1, 0] = 1.0
     W[2, 3] = W[3, 2] = 1.0
-    g = assemble(W)
+    g = graph_of(W)
     np.testing.assert_array_equal(candidate_set(g, [0, 1], [2, 3]), [2, 3])
 
 
@@ -329,3 +329,27 @@ def test_candidate_set_edge_cases():
     assert candidate_set(g, [0], []).size == 0
     with pytest.raises(ValueError):
         candidate_set(g, [], [1, 2])
+
+
+def test_candidate_set_matches_the_dense_frontier():
+    # random anchored sets on random kNN graphs, a two-component graph, and
+    # a graph whose kNN pattern has edges that underflow: such an edge
+    # (weight 0 in the dense weights) links no candidate
+    rng = np.random.default_rng(50)
+    x = np.array([[0.0], [0.1], [0.2], [39.2], [39.3], [39.4]])
+    underflow = gaussian_weights(knn_pattern(x, 3), 1.0)
+    sq = oracle.squared_distances(x)
+    graphs = [(assemble(underflow), oracle.gaussian_weights(oracle.knn_pattern(sq, 3), sq, 1.0)),
+              (two_component_graph(rng, 30), None)]
+    graphs += [(random_graph(rng, 40, k), None) for k in (1, 3, 6)]
+    for g, W in graphs:
+        W = dense((g.indptr, g.indices, g.adjacency)) if W is None else W
+        for _ in range(20):
+            order = rng.permutation(g.n)
+            labeled = np.sort(order[: rng.integers(1, g.n)])
+            unlabeled = order[labeled.size:]
+            np.testing.assert_array_equal(candidate_set(g, labeled, unlabeled),
+                                          oracle.candidate_set(W, labeled, unlabeled))
+    # the underflowed edges {0,3}, {1,3}, {2,3}, {2,4}, {2,5} make no frontier
+    np.testing.assert_array_equal(candidate_set(assemble(underflow), [0, 1, 2], [3, 4, 5]), [3, 4, 5])
+    np.testing.assert_array_equal(candidate_set(assemble(underflow), [0, 1, 3], [2, 4, 5]), [2, 4, 5])
