@@ -1,4 +1,4 @@
-"""Similarity-graph construction and spectral quantities.
+"""Similarity-graph construction, components and the Laplacian's inverses.
 
 Every learner of a run propagates over one weighted k-nearest-neighbor
 graph, which is held as compressed sparse rows (CSR, see :class:`Edges`):
@@ -6,9 +6,12 @@ about k edges per node, never an n x n array.  This module finds the kNN
 edges from row chunks of the squared distances, puts Gaussian kernel
 weights on them, reads flap's self-loop weights off them, and precomputes
 the degree vector and the row-stochastic iteration matrix on the same
-edges.  The Laplacian and its eigendecomposition, which only teachers read,
-are dense and computed the first time something reads them, so runs
-without teachers never pay for either.
+edges.  Teachers read two dense inverses built from the Laplacian, and
+:func:`pseudoinverse` is one of them; both come from the symmetric
+positive-definite inverse :func:`spd_inverse`, a Cholesky factor inverted
+by blocks, so no run computes an eigendecomposition.  The graph's cached
+dense ``laplacian`` and its spectrum remain for inspection and tests, and
+are computed only when read.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Eigenvalues below EIG_ZERO_REL * max(eigenvalue) count as zero modes.
-EIG_ZERO_REL = 1e-9
-
 # Squared distances knn_pattern holds at a time: a chunk of rows of about
 # this many entries (at least two rows), so the n x n distances never exist.
 CHUNK_ENTRIES = 1 << 18
+
+# spd_inverse inverts a triangular block of at most this order directly and
+# splits a larger one in halves joined by matrix products.
+TRIANGLE_BLOCK = 64
 
 
 class Edges(NamedTuple):
@@ -55,7 +59,8 @@ class LearnerGraph:
     W's row sums.  The dense ``laplacian`` comes from the off-diagonal
     weights alone.  ``eigenvalues`` are ascending; ``eigenvectors[:, k]``
     is the orthonormal eigenvector for ``eigenvalues[k]``.  Each is
-    computed on its first read and then kept, as is ``pseudo_diagonal``.
+    computed on its first read and then kept; the library itself reads
+    none of them, and :meth:`dense_laplacian` builds a Laplacian nothing keeps.
     """
 
     indptr: np.ndarray
@@ -81,14 +86,18 @@ class LearnerGraph:
         return np.column_stack([np.bincount(self.rows, weights=values * column[self.indices], minlength=self.n)
                                 for column in np.asarray(dense, dtype=float).T])
 
-    @cached_property
-    def laplacian(self) -> np.ndarray:
+    def dense_laplacian(self) -> np.ndarray:
+        """A new dense Laplacian of the off-diagonal weights; the graph keeps no reference to it."""
         laplacian = np.zeros((self.n, self.n))
         laplacian[self.rows, self.indices] = 0.0 - self.adjacency
         np.fill_diagonal(laplacian, 0.0)
-        # the dense row sum, as D - W would give it, so teachers read the same diagonal
+        # the dense row sum, as D - W would give it
         np.fill_diagonal(laplacian, -laplacian.sum(axis=1))
         return laplacian
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return self.dense_laplacian()
 
     @cached_property
     def _spectrum(self):
@@ -101,11 +110,6 @@ class LearnerGraph:
     @property
     def eigenvectors(self) -> np.ndarray:
         return self._spectrum[1]
-
-    @cached_property
-    def pseudo_diagonal(self) -> np.ndarray:
-        """L+_jj, the diagonal of the Laplacian's pseudoinverse, from the spectrum."""
-        return (self.eigenvectors * self.eigenvectors) @ _inverse_spectrum(self)
 
 
 def knn_pattern(features: np.ndarray, k: int) -> Edges:
@@ -230,21 +234,81 @@ def assemble(weights: Edges) -> LearnerGraph:
     return LearnerGraph(indptr, indices, values, degree, values / degree[rows])
 
 
-def _inverse_spectrum(graph: LearnerGraph) -> np.ndarray:
-    # 1/lambda on nonzero modes, 0 on (numerically) zero modes.
-    lam = graph.eigenvalues
-    cutoff = EIG_ZERO_REL * max(lam[-1], 0.0)
-    h = np.zeros_like(lam)
-    nonzero = lam > cutoff
-    h[nonzero] = 1.0 / lam[nonzero]
-    return h
+def components(graph: LearnerGraph) -> np.ndarray:
+    """Each node's connected component, numbered 0, 1, ... in order of each component's lowest node.
+
+    Only edges of positive weight connect, so the components are those of
+    the Laplacian.  Every node takes the lowest label among itself and its
+    neighbors, then the label its label holds, until nothing changes.
+    """
+    # a zero-weight edge points back at its own row, which changes nothing
+    ends = np.where(graph.adjacency > 0.0, graph.indices, graph.rows)
+    labels = np.arange(graph.n)
+    while True:
+        lowest = np.minimum(labels, np.minimum.reduceat(labels[ends], graph.indptr[:-1]))
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = lowest
+
+
+def _lower_inverse(lower: np.ndarray) -> None:
+    """Overwrite the lower-triangular ``lower`` with its inverse.
+
+    With lower = [[A, 0], [B, C]], the inverse is [[A^-1, 0], [-C^-1 B A^-1, C^-1]];
+    numpy has no triangular solve, so the halves are joined by matrix products.
+    """
+    n = lower.shape[0]
+    if n <= TRIANGLE_BLOCK:
+        lower[...] = np.tril(np.linalg.inv(lower))
+        return
+    half = n // 2
+    _lower_inverse(lower[:half, :half])
+    _lower_inverse(lower[half:, half:])
+    lower[half:, :half] = -(lower[half:, half:] @ (lower[half:, :half] @ lower[:half, :half]))
+
+
+def spd_inverse(matrix: np.ndarray) -> np.ndarray:
+    """The inverse of a symmetric positive-definite matrix, exactly symmetric.
+
+    With matrix = F F^T its Cholesky factorization, the inverse is K^T K for
+    K = F^-1, inverted in F's own buffer.  This takes about half the time of
+    ``np.linalg.inv``'s LU route.
+    """
+    factor = np.linalg.cholesky(matrix)
+    _lower_inverse(factor)
+    return factor.T @ factor
+
+
+def _null_projector(labels: np.ndarray) -> np.ndarray:
+    """P0, the projector onto the Laplacian's null space: 1 / n_c within component c, 0 across."""
+    indicator = (labels[:, None] == np.arange(labels.max() + 1)).astype(float)
+    return (indicator / indicator.sum(axis=0)) @ indicator.T
+
+
+def pseudoinverse(graph: LearnerGraph) -> np.ndarray:
+    """L+, the Laplacian's Moore-Penrose pseudoinverse, as (L + P0)^-1 - P0.
+
+    P0 projects onto L's null space, the indicators of its
+    :func:`components`, so L + P0 is positive definite with L's eigenvectors,
+    and removing P0 from its inverse leaves 1/lambda on every nonzero mode
+    and 0 on the zero modes (Fouss et al., IEEE TKDE 2007).  P0 is built
+    twice rather than kept, so it never adds to the inverse's peak memory.
+    """
+    labels = components(graph)
+    grounded = graph.dense_laplacian()
+    grounded += _null_projector(labels)
+    pinv = spd_inverse(grounded)
+    pinv -= _null_projector(labels)
+    return pinv
 
 
 def commute_table(graph: LearnerGraph) -> np.ndarray:
-    """All-pairs commute times as one symmetric matrix with zero diagonal."""
-    h = _inverse_spectrum(graph)
-    pseudo = (graph.eigenvectors * h) @ graph.eigenvectors.T
-    pseudo = 0.5 * (pseudo + pseudo.T)
+    """All-pairs commute times L+_ii + L+_jj - 2 L+_ij, symmetric with zero diagonal.
+
+    Between components the true value is infinite; this one reads finite there.
+    """
+    pseudo = pseudoinverse(graph)
     diag = np.diag(pseudo)
     table = diag[:, None] + diag[None, :] - 2.0 * pseudo
     np.fill_diagonal(table, 0.0)

@@ -58,8 +58,11 @@ def propagate_round(previous, graph, curriculum, weights, learned, initial, stay
     curriculum = np.asarray(curriculum, dtype=int)
     learned = np.asarray(learned, dtype=int)
     stays = np.asarray(stays, dtype=float)
-    if curriculum.size and learned.size and np.intersect1d(curriculum, learned).size:
-        raise ValueError("curriculum rows must not already be learned")
+    if curriculum.size and learned.size:
+        seen = np.zeros(previous.shape[0], dtype=bool)
+        seen[learned] = True
+        if seen[curriculum].any():
+            raise ValueError("curriculum rows must not already be learned")
     if np.shape(weights) != (curriculum.size, stays.shape[0]):
         raise ValueError("one weight row per curriculum node is required")
 

@@ -13,8 +13,8 @@ diffusions are solved to their limits, averaged, and read out by argmax.
 Every learner shares one sparse kNN graph, built once per run: a learner
 is its stay vector over that graph (see ``propagate.py``), and one teacher
 judges for all of them.  A run without teachers holds no n x n array; a
-taught run's only ones are the graph's Laplacian and spectrum and the
-teacher's running covariance.
+taught run's only ones are the teacher's Laplacian pseudoinverse and its
+running covariance.
 
 Ablation variants reuse the same driver so that, for example, the full
 method with one learner and the coupling weight at zero reproduces the
@@ -201,15 +201,15 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
     start = init_labels(masked, c)
     scores = start
     learned = np.empty(0, dtype=int)
-    remaining = np.setdiff1d(np.arange(n), labeled_idx)
-    unlabeled0 = remaining.copy()
+    anchored = np.zeros(n, dtype=bool)  # labeled or learned
+    anchored[labeled_idx] = True
+    unlabeled0 = np.flatnonzero(~anchored)
 
     records = []
     feedback = math.exp(-config.gamma)  # the first round's: rows still at the uniform prior
-    while remaining.size:
+    while not anchored.all():
         tick = time.perf_counter()
-        anchors = np.sort(np.concatenate([labeled_idx, learned]))
-        candidates = candidate_set(graph, anchors, remaining)
+        candidates = candidate_set(graph, np.flatnonzero(anchored), np.flatnonzero(~anchored))
         pool = candidates.size
         size = next_size(pool, feedback) if teaching else pool
         if size < pool:
@@ -230,7 +230,7 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
         scores = propagate_round(scores, graph, chosen, weights, learned, start, stays)
         feedback = feedback_value(scores[chosen], c, config.gamma)
         learned = np.concatenate([learned, chosen])
-        remaining = np.setdiff1d(remaining, chosen)
+        anchored[chosen] = True
 
         record = RoundRecord(
             index=len(records) + 1,

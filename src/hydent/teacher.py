@@ -5,19 +5,22 @@ signals: reliability (low conditional variance of the candidate's label
 under a Gaussian process on the graph, given the labeled examples) and
 discriminability (a large gap between the candidate's average commute times
 to its two closest labeled classes).  Both are rolled into one symmetric
-score matrix over the current candidate pool, and both are read from the
-learner graph's cached Laplacian spectrum; no all-pairs table is built.
+score matrix over the current candidate pool, and both are read from two
+dense inverses a teacher holds.
 
 Reliability comes from the GP prior precision Q = Laplacian + I / kappa2:
 given the anchored nodes, the candidates' conditional covariance is their
 block of (Q_RR)^-1, R being the nodes not yet anchored (Rue & Held, *Gaussian
 Markov Random Fields*, 2005, ch. 2).  ``reliability_term`` solves that
 directly.  Within a run each teacher instead keeps the running conditional
-covariance Sigma of R: its first ``teaching_matrix`` call builds the prior
-U diag(1 / (lambda + 1/kappa2)) U^T over every node from the Laplacian
-spectrum, and every call removes the nodes anchored since, by the Schur
-downdate Sigma <- Sigma - Sigma_.C Sigma_CC^-1 Sigma_C., so a later round
-costs O(|R|^2 |C|) instead of an O(|R|^3) solve.
+covariance Sigma of R: its first ``teaching_matrix`` call inverts Q for the
+prior over every node, and every call removes the nodes anchored since, by
+the Schur downdate Sigma <- Sigma - Sigma_.C Sigma_CC^-1 Sigma_C.,
+so a later round costs O(|R|^2 |C|) instead of an O(|R|^3) inverse.
+
+Discriminability reads class-mean commute times off L+, the Laplacian's
+pseudoinverse, which ``make_teacher`` computes once per run as
+(L + P0)^-1 - P0 (see :func:`hydent.graph.pseudoinverse`).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import LearnerGraph, _inverse_spectrum
+from .graph import LearnerGraph, pseudoinverse, spd_inverse
 
 # Ties in average commute time would make 1/gap blow up; a tied candidate is
 # simply non-discriminable, so its gap is floored at a small positive value.
@@ -41,10 +44,10 @@ ROW_BLOCK = 256
 class TeacherState:
     """Per-teacher quantities for one run.
 
-    A teacher judges from the run's ``graph`` (whose Laplacian and spectrum
-    are cached on it) and ``kappa2`` alone, so every learner of the run
-    shares one state; a second :func:`teaching_matrix` call with the same
-    anchors only reads it.  ``sigma`` is the conditional covariance
+    A teacher judges from the run's ``graph`` and ``kappa2`` alone, so every
+    learner of the run shares one state; a second :func:`teaching_matrix`
+    call with the same anchors only reads it.  ``pinv`` is the graph
+    Laplacian's pseudoinverse L+.  ``sigma`` is the conditional covariance
     of the ascending nodes ``free`` given the label of every other node:
     the first :func:`teaching_matrix` call starts it from the prior, and
     every call downdates it.
@@ -52,25 +55,24 @@ class TeacherState:
 
     graph: LearnerGraph
     kappa2: float
+    pinv: np.ndarray = field(repr=False)
     free: np.ndarray | None = field(default=None, init=False, repr=False)
     sigma: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 def make_teacher(graph: LearnerGraph, kappa2: float = 100.0) -> TeacherState:
-    """A teacher that judges from ``graph``, with its spectrum computed now.
+    """A teacher that judges from ``graph``, with L+ computed now.
 
     The teacher judges from ``graph``'s Laplacian alone, which a learner's
-    self-loops do not enter, so it serves every learner of the run.  The
-    eigendecomposition and the pseudoinverse's diagonal are forced here, so
-    set-up, not the first round, pays for them.
+    self-loops do not enter, so it serves every learner of the run.  L+ is
+    computed here, so set-up, not the first round, pays for it.
 
     ``kappa2`` sharpens or flattens the prior; the Laplacian is PSD, so the
     precision is positive definite for any finite positive kappa2.
     """
     if kappa2 <= 0:
         raise ValueError("kappa2 must be positive")
-    graph.pseudo_diagonal  # the first read computes the spectrum and L+'s diagonal and caches both
-    return TeacherState(graph, kappa2)
+    return TeacherState(graph, kappa2, pseudoinverse(graph))
 
 
 def candidate_set(
@@ -140,31 +142,22 @@ def gap_matrix(
     classes there is nothing to discriminate between, so the penalty is
     disabled (all zeros) for this round.
 
-    With L+ = U diag(h) U^T (h = 1/lambda, 0 on zero modes), the mean commute
-    time from i to class c is L+_ii - 2 (L+ m_c)_i + mean_{j in c} L+_jj, m_c
-    the class's mean indicator; L+_ii is common to every class and dropped,
-    and L+_jj is read from the graph's cached ``pseudo_diagonal``, so a call
-    costs O((|candidates| + |labeled|) n).
+    The mean commute time from i to class c is
+    L+_ii - 2 mean_{j in c} L+_ij + mean_{j in c} L+_jj; L+_ii is common to
+    every class and dropped, so a call reads the candidates' rows of the
+    teacher's ``pinv`` at the labeled columns, O(|candidates| |labeled|).
     """
     groups = [members for members in labeled_by_class.values() if len(members) > 0]
     if len(groups) < 2:
         return np.zeros((len(candidates), len(candidates)))
-    graph = teacher.graph
-    h, vectors, diagonal = _inverse_spectrum(graph), graph.eigenvectors, graph.pseudo_diagonal
-    candidate_rows = vectors[np.asarray(candidates, dtype=int)]
+    pinv = teacher.pinv
+    candidates = np.asarray(candidates, dtype=int)
     means = np.empty((len(candidates), len(groups)))
     for at, members in enumerate(np.asarray(members, dtype=int) for members in groups):
-        means[:, at] = -2.0 * (candidate_rows @ (h * vectors[members].mean(axis=0))) + diagonal[members].mean()
+        means[:, at] = -2.0 * pinv[np.ix_(candidates, members)].mean(axis=1) + pinv[members, members].mean()
     means.sort(axis=1)
     gaps = np.maximum(means[:, 1] - means[:, 0], GAP_FLOOR)
     return np.diag(1.0 / gaps)
-
-
-def _prior_factor(teacher: TeacherState, nodes: np.ndarray) -> np.ndarray:
-    """Rows ``nodes`` of V = U diag(1 / sqrt(lambda + 1/kappa2)), so V V^T is the prior covariance."""
-    rows = teacher.graph.eigenvectors[nodes]
-    rows *= 1.0 / np.sqrt(np.maximum(teacher.graph.eigenvalues, 0.0) + 1.0 / teacher.kappa2)
-    return rows
 
 
 def _schur_downdate(sigma: np.ndarray, keep: np.ndarray, cross: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -191,7 +184,8 @@ def _condition(teacher: TeacherState, anchors: np.ndarray) -> None:
 
     When the anchors include every node ``sigma`` is already conditioned on,
     only the new ones are downdated out; otherwise ``sigma`` restarts from
-    the prior over every node and all anchors are downdated out.
+    the prior over every node, the inverse of the precision built from the
+    graph's edges, and all anchors are downdated out.
     """
     n = teacher.graph.n
     anchored = np.zeros(n, dtype=bool)
@@ -199,9 +193,9 @@ def _condition(teacher: TeacherState, anchors: np.ndarray) -> None:
     # not a superset: some node outside teacher.free is no longer anchored
     if teacher.sigma is None or anchored.sum() - anchored[teacher.free].sum() != n - teacher.free.size:
         teacher.free = np.arange(n)
-        factor = _prior_factor(teacher, teacher.free)
-        teacher.sigma = factor @ factor.T
-        del factor
+        precision = teacher.graph.dense_laplacian()
+        precision.flat[::n + 1] += 1.0 / teacher.kappa2
+        teacher.sigma = spd_inverse(precision)
     drop = anchored[teacher.free]
     if drop.any():
         new, keep = np.flatnonzero(drop), np.flatnonzero(~drop)

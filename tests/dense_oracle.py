@@ -7,6 +7,11 @@ stable sort of whole distance rows, and the closing diffusion solved
 directly.  Tests compare the sparse code against them, and use
 :func:`sparse` and :func:`graph_of` to hand small dense matrices to the
 sparse API.
+
+The spectral section holds the teachers' old quantities, read off the
+Laplacian's eigendecomposition: the pseudoinverse, its diagonal, the
+commute table, the class-mean gap and the GP prior.  The library computes
+them from two Cholesky-based inverses instead.
 """
 
 from __future__ import annotations
@@ -125,3 +130,59 @@ def steady_state(P: np.ndarray, scores: np.ndarray, theta: float, stay: np.ndarr
     system = P * (-theta * (1.0 - stay))[:, None]
     np.fill_diagonal(system, system.diagonal() + (1.0 - theta * stay))
     return np.linalg.solve(system, (1.0 - theta) * scores)
+
+
+# Eigenvalues below EIG_ZERO_REL * max(eigenvalue) count as zero modes.
+EIG_ZERO_REL = 1e-9
+
+
+def inverse_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
+    """1/lambda on nonzero modes, 0 on (numerically) zero modes."""
+    cutoff = EIG_ZERO_REL * max(eigenvalues[-1], 0.0)
+    h = np.zeros_like(eigenvalues)
+    nonzero = eigenvalues > cutoff
+    h[nonzero] = 1.0 / eigenvalues[nonzero]
+    return h
+
+
+def pseudoinverse(laplacian: np.ndarray) -> np.ndarray:
+    """L+ = U diag(h) U^T from the eigendecomposition, symmetrized."""
+    values, vectors = np.linalg.eigh(laplacian)
+    pseudo = (vectors * inverse_spectrum(values)) @ vectors.T
+    return 0.5 * (pseudo + pseudo.T)
+
+
+def pseudo_diagonal(laplacian: np.ndarray) -> np.ndarray:
+    """L+_jj from the spectrum, without forming L+."""
+    values, vectors = np.linalg.eigh(laplacian)
+    return (vectors * vectors) @ inverse_spectrum(values)
+
+
+def commute_table(laplacian: np.ndarray) -> np.ndarray:
+    """All-pairs L+_ii + L+_jj - 2 L+_ij, zero diagonal, clamped at zero."""
+    pseudo = pseudoinverse(laplacian)
+    diag = np.diag(pseudo)
+    table = diag[:, None] + diag[None, :] - 2.0 * pseudo
+    np.fill_diagonal(table, 0.0)
+    return np.maximum(table, 0.0)
+
+
+def class_means(laplacian: np.ndarray, candidates, labeled_by_class) -> np.ndarray:
+    """Class-mean commute times minus the common L+_ii, in the spectral closed form.
+
+    One column per nonempty class: -2 (L+ m_c)_i + mean_{j in c} L+_jj, m_c
+    the class's mean indicator, with L+ m_c = U (h * mean of U's class rows).
+    """
+    values, vectors = np.linalg.eigh(laplacian)
+    h = inverse_spectrum(values)
+    diagonal = (vectors * vectors) @ h
+    rows = vectors[np.asarray(candidates, dtype=int)]
+    groups = [np.asarray(m, dtype=int) for m in labeled_by_class.values() if len(m) > 0]
+    return np.column_stack([-2.0 * (rows @ (h * vectors[m].mean(axis=0))) + diagonal[m].mean() for m in groups])
+
+
+def prior(laplacian: np.ndarray, kappa2: float) -> np.ndarray:
+    """The GP prior covariance U diag(1 / (lambda + 1/kappa2)) U^T."""
+    values, vectors = np.linalg.eigh(laplacian)
+    factor = vectors / np.sqrt(np.maximum(values, 0.0) + 1.0 / kappa2)
+    return factor @ factor.T

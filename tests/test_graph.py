@@ -1,11 +1,14 @@
-"""Neighborhood graphs, their spectra, and commute times.
+"""Neighborhood graphs, their components, pseudoinverses and commute times.
 
 The sparse graph core is checked against the dense code it replaced
-(``dense_oracle``).  The commute-time checks lean on the classical
-equivalence with effective resistance: on a connected graph both equal
-(e_i - e_j)^T L^+ (e_i - e_j), which gives an independent pseudoinverse
-oracle for the spectral code.
+(``dense_oracle``), and the Cholesky-based L+ against both numpy's
+``pinv`` and the spectral formula it replaced.  The commute-time checks
+lean on the classical equivalence with effective resistance: on a
+connected graph both equal (e_i - e_j)^T L^+ (e_i - e_j).
 """
+
+from collections import deque
+
 
 import numpy as np
 import pytest
@@ -17,10 +20,14 @@ from hydent.graph import (
     Edges,
     LearnerGraph,
     assemble,
+    TRIANGLE_BLOCK,
     commute_table,
+    components,
     flap_style_weights,
     gaussian_weights,
     knn_pattern,
+    pseudoinverse,
+    spd_inverse,
 )
 
 
@@ -326,10 +333,89 @@ def test_commute_table_consistent_with_pairwise():
             assert table[i, j] == pytest.approx(pinv_resistance(g, i, j), rel=1e-10)
 
 
-def test_pseudo_diagonal_matches_pinv_and_is_cached():
-    g = graph_of(random_connected_adjacency(np.random.default_rng(7), 9))
-    np.testing.assert_allclose(g.pseudo_diagonal, np.diag(np.linalg.pinv(g.laplacian)), rtol=1e-10)
-    assert g.pseudo_diagonal is g.pseudo_diagonal
+def test_pseudoinverse_matches_numpy_pinv():
+    # connected, and three components (the middle one a lone pair): (L + P0)^-1 - P0
+    # is the Moore-Penrose pseudoinverse and the spectral U diag(h) U^T alike
+    rng = np.random.default_rng(7)
+    parts = [random_connected_adjacency(rng, size) for size in (9, 2, 5)]
+    split = np.zeros((16, 16))
+    split[:9, :9], split[9:11, 9:11], split[11:, 11:] = parts
+    for W in (parts[0], split):
+        g = graph_of(W)
+        pinv = pseudoinverse(g)
+        # the graph caches neither a Laplacian nor a spectrum for it
+        assert not {"laplacian", "_spectrum"} & set(vars(g))
+        np.testing.assert_allclose(pinv, np.linalg.pinv(g.laplacian), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(pinv, oracle.pseudoinverse(g.laplacian), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(pinv), oracle.pseudo_diagonal(g.laplacian), rtol=1e-12)
+        assert np.array_equal(pinv, pinv.T)
+
+
+@pytest.mark.parametrize("size", [1, 2, TRIANGLE_BLOCK - 1, TRIANGLE_BLOCK, TRIANGLE_BLOCK + 1, 257])
+def test_spd_inverse_matches_numpy_inv(size):
+    # sizes around the direct block and one that splits unevenly three levels deep
+    rng = np.random.default_rng(size)
+    x = rng.normal(size=(size, size))
+    matrix = x @ x.T / size + 0.05 * np.eye(size)
+    before = matrix.copy()
+    inverse = spd_inverse(matrix)
+    np.testing.assert_allclose(inverse, np.linalg.inv(matrix), rtol=0.0, atol=1e-10 * np.abs(inverse).max())
+    np.testing.assert_allclose(inverse @ matrix, np.eye(size), atol=1e-9)
+    assert np.array_equal(inverse, inverse.T)
+    assert np.array_equal(matrix, before)
+
+
+def test_spd_inverse_rejects_an_indefinite_matrix():
+    with pytest.raises(np.linalg.LinAlgError):
+        spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def bfs_components(W):
+    """Reference: components by breadth-first search over the positive weights."""
+    n = W.shape[0]
+    labels = np.full(n, -1)
+    count = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for other in np.flatnonzero(W[node] > 0):
+                if labels[other] < 0:
+                    labels[other] = count
+                    queue.append(other)
+        count += 1
+    return labels
+
+
+def test_components_match_breadth_first_search():
+    # sparse random graphs with isolated pairs planted, nodes shuffled so
+    # components interleave; every node keeps an edge, as assemble requires
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(2, 40))
+        W = np.where(rng.random((n, n)) < rng.uniform(0.0, 0.15), rng.uniform(0.1, 1.0, (n, n)), 0.0)
+        W = np.triu(W, 1)
+        W = W + W.T
+        lonely = np.flatnonzero(W.sum(axis=1) == 0)
+        for a, b in zip(lonely[0::2], lonely[1::2]):
+            W[a, b] = W[b, a] = 1.0
+        if lonely.size % 2:
+            a = lonely[-1]
+            b = (a + 1) % n
+            W[a, b] = W[b, a] = 1.0
+        order = rng.permutation(n)
+        W = W[np.ix_(order, order)]
+        np.testing.assert_array_equal(components(graph_of(W)), bfs_components(W), err_msg=f"trial {trial}")
+
+
+def test_components_ignore_zero_weight_edges_and_self_loops():
+    # a stored edge of weight 0 is no edge of the Laplacian, and a loop joins nothing
+    edges = Edges(np.array([0, 2, 4, 6, 8]), np.array([0, 1, 0, 2, 1, 3, 2, 3]),
+                  np.array([1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]))
+    np.testing.assert_array_equal(components(assemble(edges)), [0, 0, 1, 1])
 
 
 def test_learner_graph_n_property():

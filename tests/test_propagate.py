@@ -129,8 +129,10 @@ def test_propagate_round_learned_rows_average_uniformly():
 def test_propagate_round_rejects_overlap():
     initial = init_labels(np.array([0, -1, -1]), 2)
     p, stays = iteration_graph(np.eye(3)), np.zeros((1, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="curriculum rows must not already be learned"):
         propagate_round(initial, p, np.array([1]), np.array([[1.0]]), np.array([1]), initial, stays)
+    with pytest.raises(ValueError, match="curriculum rows must not already be learned"):
+        propagate_round(initial, p, np.array([2, 1]), np.full((2, 1), 1.0), np.array([0, 1]), initial, stays)
     with pytest.raises(ValueError, match="one weight row"):
         propagate_round(initial, p, np.array([1]), np.array([[0.5, 0.5]]), np.array([2]), initial, stays)
 

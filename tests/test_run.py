@@ -107,7 +107,9 @@ def test_curriculum_is_the_easiest_candidates(monkeypatch):
     assert np.mean(rounds) >= 0.9
 
 
-def test_spectrum_is_computed_only_when_teachers_read_it(monkeypatch):
+def test_no_run_calls_eigh(monkeypatch):
+    # teachers read two Cholesky-based inverses, not the Laplacian's spectrum:
+    # no variant decomposes anything, and the graph caches no dense Laplacian
     graphs, decompositions = [], []
     assemble, eigh = hydent.run.assemble, np.linalg.eigh
 
@@ -115,22 +117,20 @@ def test_spectrum_is_computed_only_when_teachers_read_it(monkeypatch):
         graphs.append(assemble(adjacency))
         return graphs[-1]
 
-    def count(matrix):
-        decompositions.append(matrix.shape)
-        return eigh(matrix)
+    def count(matrix, *args, **kwargs):
+        decompositions.append(np.shape(matrix))
+        return eigh(matrix, *args, **kwargs)
 
     monkeypatch.setattr(hydent.run, "assemble", keep)
     monkeypatch.setattr(np.linalg, "eigh", count)
     dataset, labeled_idx, _, config = small_problem(seed=4)
-    run_baseline(dataset, labeled_idx, config, "hybrid-no-teaching")
-    assert len(graphs) == 1 and decompositions == []
-    assert "laplacian" not in vars(graphs[0])
-    run_hydent(dataset, labeled_idx, config)
-    # both learners share the run's one graph, hence one teacher and one spectrum
-    assert len(graphs) == 2 and len(decompositions) == 1
-    assert "laplacian" in vars(graphs[1])
-    # a cached spectrum is not recomputed on later reads
-    assert graphs[1].eigenvalues is graphs[1].eigenvalues and len(decompositions) == 1
+    for variant in ("hydent", "hybrid-no-teaching", "single-teacher-gaussian", "single-teacher-flap"):
+        graphs.clear()
+        result = run_baseline(dataset, labeled_idx, config, variant)
+        assert len(graphs) == 1 and decompositions == [], variant
+        assert not {"laplacian", "_spectrum"} & set(vars(graphs[0])), variant
+    # the last run was taught
+    assert sum(r.converged is not None for r in result.rounds) > 1
 
 
 def test_scoring_downdates_instead_of_solving(monkeypatch):
@@ -175,7 +175,8 @@ def test_scoring_downdates_instead_of_solving(monkeypatch):
 
 def test_teacher_reads_its_graph_and_builds_no_commute_table(monkeypatch):
     # a teacher holds its learner's graph and no n x n array but its running
-    # covariance; class-mean commute times come from the graph's spectrum
+    # covariance and L+; class-mean commute times are read off L+, and the
+    # graph keeps no dense Laplacian or spectrum
     make, build, table = hydent.run.make_teacher, hydent.run._build_graphs, hydent.graph.commute_table
     graphs, teachers, tables = [], [], []
 
@@ -203,7 +204,9 @@ def test_teacher_reads_its_graph_and_builds_no_commute_table(monkeypatch):
     assert teacher.graph is graphs[0]
     square = [f.name for f in dataclasses.fields(teacher)
               if np.shape(getattr(teacher, f.name)) == (dataset.n, dataset.n)]
-    assert set(square) <= {"sigma"}
+    # sigma has shrunk with every anchored node by the end of the run
+    assert "pinv" in square and set(square) <= {"sigma", "pinv"}
+    assert not {"laplacian", "_spectrum"} & set(vars(graphs[0]))
 
 
 def test_learners_with_one_laplacian_share_one_teacher(monkeypatch):
@@ -336,20 +339,21 @@ def test_graph_work_runs_once_per_group_of_equal_edges(monkeypatch):
 
 
 def test_prior_is_built_once_per_teacher(monkeypatch):
-    # the first round starts each teacher's covariance from the prior over
-    # every node and downdates the anchors out; later rounds only downdate
-    factor, teachers, rows = hydent.teacher._prior_factor, [], []
+    # make_teacher inverts L + P0 once for L+, and the first round inverts the
+    # prior precision over every node and downdates the anchors out; later
+    # rounds only downdate, so a run makes exactly two n x n inverses
+    inverse, sizes = hydent.graph.spd_inverse, []
 
-    def spy(teacher, nodes):
-        teachers.append(teacher)
-        rows.append(len(nodes))
-        return factor(teacher, nodes)
+    def spy(matrix):
+        sizes.append(np.shape(matrix))
+        return inverse(matrix)
 
-    monkeypatch.setattr(hydent.teacher, "_prior_factor", spy)
+    for module in (hydent.graph, hydent.teacher):
+        monkeypatch.setattr(module, "spd_inverse", spy)
     dataset, labeled_idx, _, config = small_problem(seed=3)
     result = run_hydent(dataset, labeled_idx, config)
     assert sum(r.converged is not None for r in result.rounds) > 1
-    assert len(teachers) == 1 and rows == [dataset.n]
+    assert sizes == [(dataset.n, dataset.n)] * 2
 
 
 def test_protocol_run_imports_no_scipy():

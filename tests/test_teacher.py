@@ -15,7 +15,8 @@ import pytest
 
 import dense_oracle as oracle
 from dense_oracle import dense, graph_of
-from hydent.graph import assemble, commute_table, gaussian_weights, knn_pattern
+from hydent.data import synth_noisy_gaussian
+from hydent.graph import assemble, commute_table, components, gaussian_weights, knn_pattern
 from hydent.teacher import (
     GAP_FLOOR,
     TeacherState,
@@ -111,11 +112,14 @@ def test_make_teacher_bundles_state():
     g = graph_of(TWO_NODE)
     teacher = make_teacher(g)
     assert isinstance(teacher, TeacherState)
-    assert [f.name for f in fields(teacher)] == ["graph", "kappa2", "free", "sigma"]
+    assert [f.name for f in fields(teacher)] == ["graph", "kappa2", "pinv", "free", "sigma"]
     assert teacher.kappa2 == 100.0
     assert teacher.graph is g
-    # the spectrum and L+'s diagonal are computed by make_teacher, not by the first round
-    assert "_spectrum" in vars(g) and "pseudo_diagonal" in vars(g)
+    # L+ is computed by make_teacher, not by the first round, and without a
+    # spectrum or a Laplacian cached on the graph
+    assert not {"laplacian", "_spectrum"} & set(vars(g))
+    assert teacher.sigma is None and teacher.free is None
+    np.testing.assert_allclose(teacher.pinv, [[0.25, -0.25], [-0.25, 0.25]], rtol=0.0, atol=1e-15)
     assert commute_table(teacher.graph)[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -290,6 +294,30 @@ def test_gap_matrix_matches_per_candidate_loop():
         np.testing.assert_array_equal(G, np.diag(np.diag(G)))
         np.testing.assert_allclose(1.0 / np.diag(G), loop_gaps(table, cand, by_class),
                                    rtol=0, atol=1e-12 * table.max())
+
+
+def test_disconnected_protocol_input_matches_the_spectral_oracle():
+    # data seed 1 at covariance 0.5 is a benchmark input whose kNN graph has
+    # two components; (L + P0)^-1 - P0 must still be the spectral L+, and the
+    # gaps must be the ones read off the commute table and the spectrum
+    dataset = synth_noisy_gaussian(100, 0.5, seed=1)
+    g = assemble(gaussian_weights(knn_pattern(dataset.features, 5), 1.0))
+    labels = components(g)
+    assert labels.max() == 1 and np.bincount(labels).min() > 1
+    teacher = make_teacher(g)
+    expected = oracle.pseudoinverse(g.laplacian)
+    np.testing.assert_allclose(teacher.pinv, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+    rng = np.random.default_rng(1)
+    perm = rng.permutation(g.n)
+    by_class = {c: np.sort(perm[:12][dataset.labels[perm[:12]] == c]) for c in range(2)}
+    cand = np.sort(perm[12:])
+    gaps = 1.0 / np.diag(gap_matrix(teacher, cand, by_class))
+    table = commute_table(g)
+    np.testing.assert_allclose(gaps, loop_gaps(table, cand, by_class), rtol=0, atol=1e-12 * table.max())
+    means = np.sort(oracle.class_means(g.laplacian, cand, by_class), axis=1)
+    np.testing.assert_allclose(gaps, np.maximum(means[:, 1] - means[:, 0], GAP_FLOOR),
+                               rtol=0, atol=1e-12 * table.max())
+    np.testing.assert_allclose(table, oracle.commute_table(g.laplacian), rtol=0, atol=1e-12 * table.max())
 
 
 def test_gap_matrix_disabled_with_single_class():
