@@ -23,7 +23,6 @@ from .graph import (
     Edges,
     LearnerGraph,
     assemble,
-    commute_table,
     flap_style_weights,
     gaussian_weights,
     knn_pattern,
@@ -46,7 +45,6 @@ from .teacher import (
     candidate_set,
     gap_matrix,
     make_teacher,
-    reliability_term,
     teaching_matrix,
 )
 from .teaching import (
@@ -80,7 +78,6 @@ __all__ = [
     "assemble",
     "bcd_solve",
     "candidate_set",
-    "commute_table",
     "easiest_start",
     "evaluate",
     "exact_step",
@@ -102,7 +99,6 @@ __all__ = [
     "objective",
     "paired_t_test",
     "propagate_round",
-    "reliability_term",
     "result_to_json",
     "run_baseline",
     "run_hydent",

@@ -41,6 +41,10 @@ class Dataset:
         object.__setattr__(self, "labels", labels)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise ValueError("features must be a non-empty 2-D matrix")
+        finite = np.isfinite(feats)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise ValueError(f"row {row}: non-finite feature value {float(feats[row, col])}")
         if labels.shape != (feats.shape[0],):
             raise ValueError("labels must have one entry per row")
         if self.class_count < 2:

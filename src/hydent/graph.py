@@ -302,14 +302,3 @@ def pseudoinverse(graph: LearnerGraph) -> np.ndarray:
     pinv -= _null_projector(labels)
     return pinv
 
-
-def commute_table(graph: LearnerGraph) -> np.ndarray:
-    """All-pairs commute times L+_ii + L+_jj - 2 L+_ij, symmetric with zero diagonal.
-
-    Between components the true value is infinite; this one reads finite there.
-    """
-    pseudo = pseudoinverse(graph)
-    diag = np.diag(pseudo)
-    table = diag[:, None] + diag[None, :] - 2.0 * pseudo
-    np.fill_diagonal(table, 0.0)
-    return np.maximum(table, 0.0)

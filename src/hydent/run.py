@@ -68,6 +68,10 @@ class RunConfig:
                 raise ValueError(f"unknown kernel {kernel!r}; choose from {KNOWN_KERNELS}")
             if kernel in self.kernels[:at]:
                 raise ValueError(f"kernel {kernel!r} is repeated; each learner kernel may appear once")
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
+        # a numpy integer runs alike but would not serialize to JSON
+        object.__setattr__(self, "k", int(self.k))
         for name in ("sigma", "kappa2", "beta0", "beta1", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

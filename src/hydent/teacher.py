@@ -11,12 +11,12 @@ dense inverses a teacher holds.
 Reliability comes from the GP prior precision Q = Laplacian + I / kappa2:
 given the anchored nodes, the candidates' conditional covariance is their
 block of (Q_RR)^-1, R being the nodes not yet anchored (Rue & Held, *Gaussian
-Markov Random Fields*, 2005, ch. 2).  ``reliability_term`` solves that
-directly.  Within a run each teacher instead keeps the running conditional
-covariance Sigma of R: its first ``teaching_matrix`` call inverts Q for the
-prior over every node, and every call removes the nodes anchored since, by
-the Schur downdate Sigma <- Sigma - Sigma_.C Sigma_CC^-1 Sigma_C.,
-so a later round costs O(|R|^2 |C|) instead of an O(|R|^3) inverse.
+Markov Random Fields*, 2005, ch. 2).  Each teacher keeps the running
+conditional covariance Sigma of R for the run: its first
+``teaching_matrix`` call inverts Q for the prior over every node, and every
+call removes the nodes anchored since, by the Schur downdate
+Sigma <- Sigma - Sigma_.C Sigma_CC^-1 Sigma_C., so a later round costs
+O(|R|^2 |C|) instead of an O(|R|^3) inverse.
 
 Discriminability reads class-mean commute times off L+, the Laplacian's
 pseudoinverse, which ``make_teacher`` computes once per run as
@@ -105,31 +105,6 @@ def candidate_set(
     return np.sort(unlabeled[frontier])
 
 
-def reliability_term(
-    laplacian: np.ndarray,
-    kappa2: float,
-    candidates: Sequence[int],
-    anchors: Sequence[int],
-) -> np.ndarray:
-    """Conditional covariance of candidate labels given the anchored labels.
-
-    With R the nodes outside ``anchors``, this is the candidates' block of
-    (laplacian[R, R] + I / kappa2)^-1, equal to the Schur complement
-    Sigma_BB - Sigma_BL Sigma_LL^-1 Sigma_LB of the prior covariance.  Its
-    trace is what each teacher minimizes.  Candidates must not be anchored.
-    """
-    candidates = np.asarray(candidates, dtype=int)
-    anchors = np.asarray(anchors, dtype=int)
-    if np.isin(candidates, anchors).any():
-        raise ValueError("candidates must not overlap the anchors")
-    rest = np.setdiff1d(np.arange(laplacian.shape[0]), anchors)
-    at = np.searchsorted(rest, candidates)
-    identity = np.eye(rest.size)
-    precision = laplacian[np.ix_(rest, rest)] + identity / kappa2
-    conditional = np.linalg.solve(precision, identity[:, at])[at]
-    return 0.5 * (conditional + conditional.T)
-
-
 def gap_matrix(
     teacher: TeacherState,
     candidates: Sequence[int],
@@ -179,8 +154,8 @@ def _schur_downdate(sigma: np.ndarray, keep: np.ndarray, cross: np.ndarray, bloc
     return flat[: m * m].reshape(m, m)
 
 
-def _condition(teacher: TeacherState, anchors: np.ndarray) -> None:
-    """Bring ``teacher.sigma`` to the covariance of the nodes outside ``anchors``.
+def _condition(teacher: TeacherState, anchored: np.ndarray) -> None:
+    """Bring ``teacher.sigma`` to the covariance of the nodes outside the mask ``anchored``.
 
     When the anchors include every node ``sigma`` is already conditioned on,
     only the new ones are downdated out; otherwise ``sigma`` restarts from
@@ -188,8 +163,6 @@ def _condition(teacher: TeacherState, anchors: np.ndarray) -> None:
     graph's edges, and all anchors are downdated out.
     """
     n = teacher.graph.n
-    anchored = np.zeros(n, dtype=bool)
-    anchored[anchors] = True
     # not a superset: some node outside teacher.free is no longer anchored
     if teacher.sigma is None or anchored.sum() - anchored[teacher.free].sum() != n - teacher.free.size:
         teacher.free = np.arange(n)
@@ -211,15 +184,20 @@ def teaching_matrix(
 ) -> np.ndarray:
     """Per-teacher score matrix: reliability term plus discriminability diagonal.
 
-    The reliability term equals :func:`reliability_term` with every labeled
-    node as an anchor; it is read from the teacher's running covariance,
-    brought up to these anchors first.
+    Every labeled node is an anchor.  The reliability term is the
+    candidates' block of the conditional covariance given the anchors,
+    symmetrized; it is read from the teacher's running covariance, brought
+    up to these anchors first.  With fewer than two nonempty classes the
+    discriminability term is zero, so the result is the reliability block
+    alone.  Candidates must not be anchored.
     """
     candidates = np.asarray(candidates, dtype=int)
-    anchors = np.concatenate([np.asarray(v, dtype=int) for v in labeled_by_class.values()])
-    if np.isin(candidates, anchors).any():
+    anchored = np.zeros(teacher.graph.n, dtype=bool)
+    for members in labeled_by_class.values():
+        anchored[np.asarray(members, dtype=int)] = True
+    if anchored[candidates].any():
         raise ValueError("candidates must not overlap the anchors")
-    _condition(teacher, anchors)
+    _condition(teacher, anchored)
     at = np.searchsorted(teacher.free, candidates)
     block = teacher.sigma[np.ix_(at, at)]
     return 0.5 * (block + block.T) + gap_matrix(teacher, candidates, labeled_by_class)

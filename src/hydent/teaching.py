@@ -53,17 +53,25 @@ def l21_weight_matrix(stacked: np.ndarray) -> np.ndarray:
     return 1.0 / (2.0 * np.linalg.norm(stacked, axis=1) + ZETA)
 
 
+def _scores(r_list, b: int | None = None) -> np.ndarray:
+    """The score matrices, at least one and each b x b, as one (M, b, b) array; b defaults to the first's rows."""
+    if len(r_list) == 0:
+        raise ValueError("need one score matrix per selection block")
+    if b is None:
+        b = np.shape(r_list[0])[0] if np.ndim(r_list[0]) else 0
+    for r in r_list:
+        if np.shape(r) != (b, b):
+            raise ValueError(f"score matrix shape {np.shape(r)} does not match pool size {b}")
+    return np.asarray(r_list, dtype=float)
+
+
 def _as_stack(blocks, r_list):
     """The blocks as one (M, b, s) array and the score matrices as one (M, b, b) array."""
     if len(blocks) != len(r_list) or len(blocks) == 0:
         raise ValueError("need one score matrix per selection block")
     if len({np.shape(block) for block in blocks}) != 1 or np.ndim(blocks[0]) != 2:
         raise ValueError("all selection blocks must be matrices of one shape")
-    b = np.shape(blocks[0])[0]
-    for r in r_list:
-        if np.shape(r) != (b, b):
-            raise ValueError(f"score matrix shape {np.shape(r)} does not match pool size {b}")
-    return np.asarray(blocks, dtype=float), np.asarray(r_list, dtype=float)
+    return np.asarray(blocks, dtype=float), _scores(r_list, np.shape(blocks[0])[0])
 
 
 def _total(x: np.ndarray):
@@ -250,14 +258,10 @@ def bcd_solve(r_list, beta0: float, beta1: float, s: int, *, init=None) -> Teach
     The solve starts from ``init``, an (M, b, s) stack or a sequence of
     (b, s) blocks, when given, and from :func:`easiest_start` otherwise.
     """
-    b = np.shape(r_list[0])[0]
-    if any(np.shape(r) != (b, b) for r in r_list):
-        raise ValueError("score matrices must be square and equally sized")
+    r = _scores(r_list)
     if s < 1:
         raise ValueError("curriculum size must be positive")
-    s = min(s, b)
-
-    r = np.asarray(r_list, dtype=float)
+    s = min(s, r.shape[1])
     blocks = easiest_start(r, s) if init is None else _as_stack(init, r)[0].copy()
     if blocks.shape[2] != s:
         raise ValueError("init blocks must have s columns")

@@ -11,7 +11,8 @@ sparse API.
 The spectral section holds the teachers' old quantities, read off the
 Laplacian's eigendecomposition: the pseudoinverse, its diagonal, the
 commute table, the class-mean gap and the GP prior.  The library computes
-them from two Cholesky-based inverses instead.
+them from two Cholesky-based inverses instead.  The last section is the GP
+conditional covariance as a Schur complement of the dense prior.
 """
 
 from __future__ import annotations
@@ -158,11 +159,15 @@ def pseudo_diagonal(laplacian: np.ndarray) -> np.ndarray:
     return (vectors * vectors) @ inverse_spectrum(values)
 
 
+def commute_times(pinv: np.ndarray) -> np.ndarray:
+    """All-pairs L+_ii + L+_jj - 2 L+_ij read off a given pseudoinverse, as it stands."""
+    diag = np.diag(pinv)
+    return diag[:, None] + diag[None, :] - 2.0 * pinv
+
+
 def commute_table(laplacian: np.ndarray) -> np.ndarray:
-    """All-pairs L+_ii + L+_jj - 2 L+_ij, zero diagonal, clamped at zero."""
-    pseudo = pseudoinverse(laplacian)
-    diag = np.diag(pseudo)
-    table = diag[:, None] + diag[None, :] - 2.0 * pseudo
+    """All-pairs commute times from the spectral L+, zero diagonal, clamped at zero."""
+    table = commute_times(pseudoinverse(laplacian))
     np.fill_diagonal(table, 0.0)
     return np.maximum(table, 0.0)
 
@@ -186,3 +191,18 @@ def prior(laplacian: np.ndarray, kappa2: float) -> np.ndarray:
     values, vectors = np.linalg.eigh(laplacian)
     factor = vectors / np.sqrt(np.maximum(values, 0.0) + 1.0 / kappa2)
     return factor @ factor.T
+
+
+def schur_oracle(laplacian: np.ndarray, kappa2: float, candidates, anchors) -> np.ndarray:
+    """The candidates' conditional covariance given the anchors, symmetrized.
+
+    Inverts the precision L + I / kappa2 densely, then takes the Schur
+    complement Sigma_BB - Sigma_BL Sigma_LL^-1 Sigma_LB.
+    """
+    sigma = np.linalg.inv(laplacian + np.eye(laplacian.shape[0]) / kappa2)
+    sigma = 0.5 * (sigma + sigma.T)
+    sig_bb = sigma[np.ix_(candidates, candidates)]
+    sig_bl = sigma[np.ix_(candidates, anchors)]
+    sig_ll = sigma[np.ix_(anchors, anchors)]
+    conditional = sig_bb - sig_bl @ np.linalg.solve(sig_ll, sig_bl.T)
+    return 0.5 * (conditional + conditional.T)

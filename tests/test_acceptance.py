@@ -17,9 +17,8 @@ import numpy as np
 
 from hydent.data import SplitSpec, split, synth_noisy_gaussian
 from dense_oracle import graph_of
-from hydent.graph import commute_table
 from hydent.run import RunConfig, paired_t_test, run_baseline
-from hydent.teacher import reliability_term
+from hydent.teacher import make_teacher, teaching_matrix
 from hydent.teaching import bcd_solve, gradient, surrogate
 
 PROTOCOL_SEEDS = tuple(range(10))
@@ -181,14 +180,16 @@ def test_07_commute_times_equal_effective_resistance():
     for _ in range(20):
         n = int(rng.integers(4, 11))
         g = graph_of(random_connected_adjacency(rng, n))
-        table = commute_table(g)
+        # the teacher's L+, from which every run reads its class-mean commute times
+        held = make_teacher(g).pinv
         pinv = np.linalg.pinv(g.laplacian)
         for i in range(n):
             for j in range(i + 1, n):
+                commute = held[i, i] + held[j, j] - 2.0 * held[i, j]
                 e = np.zeros(n)
                 e[i], e[j] = 1.0, -1.0
                 resistance = float(e @ pinv @ e)
-                worst = max(worst, abs(table[i, j] - resistance) / resistance)
+                worst = max(worst, abs(commute - resistance) / resistance)
     secs = time.perf_counter() - tick
     ok = worst < 1e-8 and secs < 5.0
     detail = f"worst relative mismatch {worst:.2e} over 20 graphs (allow 1e-8), {secs:.1f}s (limit 5)"
@@ -207,9 +208,8 @@ def test_08_trace_and_entropy_rank_candidates_identically():
         perm = rng.permutation(n)
         labeled = perm[: int(rng.integers(2, 5))]
         pool = perm[len(labeled) : len(labeled) + int(rng.integers(2, 9))]
-        variances = np.array(
-            [reliability_term(g.laplacian, 100.0, [i], labeled)[0, 0] for i in pool]
-        )
+        # one class group, so the gap term is zero and the diagonal is each variance
+        variances = np.diag(teaching_matrix(make_teacher(g, 100.0), pool, {0: labeled}))
         entropies = 0.5 * np.log(2.0 * math.pi * math.e * variances)
         if np.array_equal(np.argsort(variances), np.argsort(entropies)):
             agreements += 1

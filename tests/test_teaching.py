@@ -12,6 +12,7 @@ Oracles used here:
   * hand-worked values for the extraction example.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -411,11 +412,16 @@ def test_bcd_solve_starts_from_the_easiest_start_by_default():
 
 
 def test_bcd_solve_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        bcd_solve([np.eye(2), np.eye(3)], 1.0, 1.0, 1)
-    with pytest.raises(ValueError):
+    # the score matrices are checked before anything reads r_list[0], so an
+    # empty list raises no IndexError
+    with pytest.raises(ValueError, match="need one score matrix per selection block"):
+        bcd_solve([], 1.0, 1.0, 1)
+    for r_list, shape, b in (([np.eye(2), np.eye(3)], (3, 3), 2), ([np.ones((2, 3))], (2, 3), 2),
+                             ([np.eye(2), np.ones(2)], (2,), 2), ([np.ones(3)], (3,), 3)):
+        with pytest.raises(ValueError, match=rf"score matrix shape {re.escape(str(shape))} does not match pool size {b}"):
+            bcd_solve(r_list, 1.0, 1.0, 1)
+    with pytest.raises(ValueError, match="curriculum size must be positive"):
         bcd_solve([np.eye(2)], 1.0, 1.0, 0)
-
 
 
 def two_guard_solve(r_list, beta0, beta1, s, init=None):
