@@ -3,11 +3,12 @@
 Every learner of a run propagates over one weighted k-nearest-neighbor
 graph, which is held as compressed sparse rows (CSR, see :class:`Edges`):
 about k edges per node, never an n x n array.  This module finds the kNN
-edges from row chunks of the squared distances, puts Gaussian kernel
-weights on them, reads flap's self-loop weights off them, and precomputes
-the degree vector and the row-stochastic iteration matrix on the same
-edges.  Teachers read two dense inverses built from the Laplacian, and
-:func:`pseudoinverse` is one of them; both come from the symmetric
+edges exactly by a sweep along one feature, which computes squared
+distances only between rows near each other in that order.  It puts
+Gaussian kernel weights on the edges, reads flap's self-loop weights off
+them, and precomputes the degree vector and the row-stochastic iteration
+matrix on the same edges.  Teachers read two dense inverses built from
+the Laplacian, and :func:`pseudoinverse` is one of them; both come from the symmetric
 positive-definite inverse :func:`spd_inverse`, a Cholesky factor inverted
 by blocks, so no run computes an eigendecomposition.  The graph's cached
 dense ``laplacian`` and its spectrum remain for inspection and tests, and
@@ -25,6 +26,17 @@ import numpy as np
 # Squared distances knn_pattern holds at a time: a chunk of rows of about
 # this many entries (at least two rows), so the n x n distances never exist.
 CHUNK_ENTRIES = 1 << 18
+
+# Rows knn_pattern's sweep takes per block.  Of 32 to 512, 128 was the best
+# balance: fastest at d = 5 and 10, within 10 % of the best at d = 2 (the
+# timings are in CHANGES.md).
+SWEEP_BLOCK = 128
+
+# The sweep's windows are whole multiples of this many columns.  OpenBLAS
+# (0.3, Haswell kernels) multiplies in panels of 8 columns and rounds the
+# entries of a ragged last panel differently, so an aligned window gives each
+# distance the bits a product over all n columns gives it (for n a multiple of 8).
+PANEL = 8
 
 # spd_inverse inverts a triangular block of at most this order directly and
 # splits a larger one in halves joined by matrix products.
@@ -112,43 +124,147 @@ class LearnerGraph:
         return self._spectrum[1]
 
 
+def _nearest(features: np.ndarray, norms: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int,
+             scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``rows``' k nearest among ``cols``: (their indices, their squared distances).
+
+    ``cols`` ascends and holds every row of ``rows``, which is never its own
+    neighbor.  The squared distances ||xi||^2 + ||xj||^2 - 2 xi.xj, clamped
+    at zero, are computed at most ``CHUNK_ENTRIES`` at a time into the two
+    rows of ``scratch``, which every call reuses (freed temporaries had
+    their pages handed back and faulted in again on each call).  A lone
+    row is computed twice over: a one-row product takes BLAS's
+    matrix-vector path, which rounds differently.  The k nearest come from
+    a partition; when more than k lie at or below the k-th distance, the
+    tied ones go to the lowest indices, as a stable sort leaves them.
+    """
+    window, window_norms = features[cols], norms[cols]
+    near, dist = np.empty((rows.size, k), dtype=np.intp), np.empty((rows.size, k))
+    per_chunk = max(2, CHUNK_ENTRIES // cols.size)
+    for first in range(0, rows.size, per_chunk):
+        part = slice(first, first + per_chunk)
+        chunk = rows[part] if rows.size - first > 1 else rows[[first, first]]
+        size, shape = chunk.size * cols.size, (chunk.size, cols.size)
+        sq = np.add(norms[chunk, None], window_norms[None, :], out=scratch[0, :size].reshape(shape))
+        sq -= np.matmul(2.0 * features[chunk], window.T, out=scratch[1, :size].reshape(shape))
+        np.maximum(sq, 0.0, out=sq)
+        sq[np.arange(chunk.size), np.searchsorted(cols, chunk)] = np.inf
+        # the k nearest, then the next one: a row is crowded when that one ties the k-th
+        partition = np.argpartition(sq, k, axis=1)
+        picked = partition[:, :k]
+        kth = np.take_along_axis(sq, picked, axis=1).max(axis=1, keepdims=True)
+        crowded = np.flatnonzero(np.take_along_axis(sq, partition[:, k:k + 1], axis=1) <= kth)
+        if crowded.size:
+            crowd = sq[crowded]
+            below, tied = crowd < kth[crowded], crowd == kth[crowded]
+            room = k - below.sum(axis=1, keepdims=True)
+            picked[crowded] = np.nonzero(below | (tied & (np.cumsum(tied, axis=1) <= room)))[1].reshape(-1, k)
+        last = min(rows.size - first, per_chunk)
+        near[part] = cols[picked[:last]]
+        dist[part] = np.take_along_axis(sq, picked, axis=1)[:last]
+    return near, dist
+
+
+def _window(lo: int, hi: int, n: int) -> tuple[int, int]:
+    """Sorted positions [lo, hi) clipped to [0, n), widened to whole ``PANEL``s; all n past n / 2."""
+    lo, hi = max(0, lo), min(n, hi)
+    width = -(-(hi - lo) // PANEL) * PANEL
+    if width > n // 2:
+        return 0, n
+    hi = min(n, lo + width)
+    return hi - width, hi
+
+
 def knn_pattern(features: np.ndarray, k: int) -> Edges:
     """Symmetric k-nearest-neighbor edges, each holding its squared Euclidean distance.
 
     An edge {i, j} exists when j is among i's k nearest neighbors or vice
     versa (union symmetrization).  Distance ties are broken toward the
-    lower index; self-edges are never part of the pattern.  The squared
-    distances ||xi||^2 + ||xj||^2 - 2 xi.xj, clamped at zero, are computed
-    about ``CHUNK_ENTRIES`` at a time, and each row's k nearest are found by
-    partition rather than by sorting the row.
+    lower index; self-edges are never part of the pattern.  The result is
+    that of a brute-force search over all n^2 squared distances
+    ||xi||^2 + ||xj||^2 - 2 xi.xj, but most are never computed.
+
+    A sweep along the feature of widest range (projection search:
+    Friedman, Baskett & Shustek, IEEE Trans. Computers 1975) takes the
+    rows in that order, in blocks of ``SWEEP_BLOCK``, and compares each
+    block only with a window of the rows around it in the same order.  A
+    row's k nearest in the window are final once its k-th distance, plus a
+    rounding margin, is below the squared axis gap to the nearest row
+    outside the window.  The other rows widen their window, at least
+    doubling it.  A window past half the rows takes all of them and is
+    final by definition, so the loop always ends, and brute force is its
+    limit case.  Each block starts from the window half its predecessor's
+    rows needed, so input whose rows need wide windows (high d) runs as
+    brute force, in chunks of at most ``CHUNK_ENTRIES`` squared distances.
+
+    Fails on input that is not a 2-D array of finite values whose squared
+    norms are finite.
     """
     features = np.asarray(features, dtype=float)
-    n = features.shape[0]
+    if features.ndim != 2:
+        raise ValueError(f"features must be a 2-D array with one row per point, got shape {features.shape}")
+    n, d = features.shape
     if k < 1:
         raise ValueError("k must be positive")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the number of points n={n}")
+    finite = np.isfinite(features)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"row {row}: non-finite feature value {float(features[row, col])}")
     norms = np.einsum("ij,ij->i", features, features)
-    picked = []
-    # chunks of two rows or more: a one-row product takes BLAS's matrix-vector
-    # path, whose rounding differs from the matrix-matrix one
-    for chunk in np.array_split(np.arange(n), max(1, n // max(2, CHUNK_ENTRIES // n))):
-        sq = norms[chunk, None] + norms[None, :]
-        sq -= 2.0 * features[chunk] @ features.T
-        np.maximum(sq, 0.0, out=sq)
-        sq[np.arange(chunk.size), chunk] = np.inf
-        near = np.argpartition(sq, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(sq, near, axis=1).max(axis=1, keepdims=True)
-        crowded = np.flatnonzero(np.count_nonzero(sq <= kth, axis=1) > k)
-        if crowded.size:
-            # more than k at or below the k-th distance: the tied ones go to the
-            # lowest indices, the order a stable sort leaves them in
-            rows = sq[crowded]
-            below, tied = rows < kth[crowded], rows == kth[crowded]
-            room = k - below.sum(axis=1, keepdims=True)
-            near[crowded] = np.nonzero(below | (tied & (np.cumsum(tied, axis=1) <= room)))[1].reshape(-1, k)
-        picked.append((np.repeat(chunk, k), near.ravel(), np.take_along_axis(sq, near, axis=1).ravel()))
-    rows, cols, sq = (np.concatenate(part) for part in zip(*picked))
+    if not np.isfinite(norms).all():
+        raise ValueError(f"row {np.argmin(np.isfinite(norms))}: squared norm overflows; rescale the features")
+    axis = int(np.argmax(np.ptp(features, axis=0)))
+    order = np.argsort(features[:, axis], kind="stable")
+    keys = features[order, axis]
+    # over twice the bound (2d + 3) eps (||xi||^2 + ||xj||^2) on how far a
+    # computed squared distance can fall below the exact one, for every j at once
+    eps = np.finfo(float).eps
+    margin = 4 * (d + 2) * eps * (norms[order] + norms.max())
+    # keys[lo - 1] and keys[hi], the nearest keys outside a window [lo, hi), as fence[lo] and
+    # fence[hi + 1]: a window reaching an end of the order has nothing beyond it
+    fence = np.concatenate([[-np.inf], keys, [np.inf]])
+    near, dist = np.empty((n, k), dtype=np.intp), np.empty((n, k))
+    scratch = np.empty((2, min(max(CHUNK_ENTRIES, 2 * n), n * n)))
+    stop, reach = 0, max(k, SWEEP_BLOCK // 2)
+    while stop < n:
+        if SWEEP_BLOCK + 2 * reach > n // 2:
+            # windows of all rows: a block, or as many rows as one such product holds
+            size = max(SWEEP_BLOCK, CHUNK_ENTRIES // n)
+        else:
+            # fewer rows when the window is wide, so one product holds the block
+            size = max(2, min(SWEEP_BLOCK, CHUNK_ENTRIES // (SWEEP_BLOCK + 2 * reach)))
+        pending = np.arange(stop, min(n, stop + size))
+        stop = pending[-1] + 1
+        needed = []
+        while pending.size:
+            lo, hi = _window(pending[0] - reach, pending[-1] + 1 + reach, n)
+            cols = np.sort(order[lo:hi]) if hi - lo < n else np.arange(n)
+            picked, sq = _nearest(features, norms, order[pending], cols, k, scratch)
+            bound = sq.max(axis=1) + margin[pending]
+            centre = keys[pending]
+            gap = np.minimum(centre - fence[lo], fence[hi + 1] - centre)
+            # the gap's own rounding is covered by a relative slack of 8 eps; a
+            # window of all rows is final even if overflow left a bound NaN
+            final = (hi - lo == n) | (bound < gap * gap * (1.0 - 8.0 * eps))
+            done = order[pending[final]]
+            near[done], dist[done] = picked[final], sq[final]
+            # how far each row reaches: its most sorted neighbors on one side
+            # with keys within sqrt(bound) of its own
+            radius = np.sqrt(bound)
+            need = np.maximum(pending - np.searchsorted(keys, centre - radius),
+                              np.searchsorted(keys, centre + radius, side="right") - 1 - pending)
+            needed.append(need[final])
+            pending, need = pending[~final], need[~final]
+            if pending.size:
+                # a row's k-th distance in a window bounds its true one, so at the
+                # median of these reaches about half the pending rows are final
+                reach = max(2 * reach, int(np.sort(need)[need.size // 2]))
+        # the next block starts from the reach half of this block's rows needed
+        needed = np.sort(np.concatenate(needed))
+        reach = max(k, int(needed[needed.size // 2]))
+    rows, cols, sq = np.repeat(np.arange(n), k), near.ravel(), dist.ravel()
     codes = np.concatenate([rows * n + cols, cols * n + rows])
     # stable, so an edge both ends picked keeps the distance its own row computed
     order = np.argsort(codes, kind="stable")

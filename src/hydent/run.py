@@ -35,7 +35,7 @@ from .feedback import feedback_value, next_size
 from .graph import assemble, flap_style_weights, gaussian_weights, knn_pattern
 from .propagate import final_labels, init_labels, propagate_round, steady_state
 from .teacher import candidate_set, make_teacher, teaching_matrix
-from .teaching import bcd_solve
+from .teaching import bcd_solve, easiest_start, extract_curriculum
 
 KNOWN_KERNELS = ("gaussian", "flap")
 
@@ -90,9 +90,11 @@ class RunConfig:
 class RoundRecord:
     """Trace of one teaching round.
 
-    ``converged`` tells whether the round's selection solve converged; it
-    is None for rounds without a solve (no-teaching variants, and rounds
-    whose requested size covers the whole pool).
+    ``converged`` tells whether the round's selection solve converged, and
+    ``moved`` whether the solve's curriculum differs, as a set, from the
+    one its easiest start (:func:`~hydent.teaching.easiest_start`) reads
+    as.  Both are None for rounds without a solve (no-teaching variants,
+    and rounds whose requested size covers the whole pool).
     """
 
     index: int
@@ -105,6 +107,7 @@ class RoundRecord:
     weights: np.ndarray
     scores: np.ndarray
     converged: bool | None
+    moved: bool | None
 
 
 @dataclass(frozen=True)
@@ -225,11 +228,13 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
             weights = solution.weights
             objective = solution.objective_trace
             converged = solution.converged
+            easiest, _ = extract_curriculum(easiest_start(r_list, size), size)
+            moved = set(solution.curriculum.tolist()) != set(easiest.tolist())
         else:
             chosen = candidates
             weights = np.full((pool, learners), 1.0 / learners)
             objective = np.empty(0)
-            converged = None
+            converged = moved = None
 
         scores = propagate_round(scores, graph, chosen, weights, learned, start, stays)
         feedback = feedback_value(scores[chosen], c, config.gamma)
@@ -247,6 +252,7 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
             weights=weights,
             scores=scores,
             converged=converged,
+            moved=moved,
         )
         records.append(record)
         if round_hook is not None:

@@ -16,6 +16,7 @@ import pytest
 import dense_oracle as oracle
 import hydent.graph
 from dense_oracle import dense, graph_of, sparse
+from hydent import synth_noisy_gaussian
 from hydent.graph import (
     Edges,
     LearnerGraph,
@@ -115,19 +116,138 @@ def knn_cases():
     yield "d=5", rng.normal(size=(80, 5)), 5
 
 
-@pytest.mark.parametrize("chunk_entries", [hydent.graph.CHUNK_ENTRIES, 230])
-def test_knn_pattern_matches_the_dense_stable_sort(monkeypatch, chunk_entries):
-    # 230 entries give chunks of 2 to 5 rows, none a multiple of n
+SWEEPS = [
+    pytest.param(hydent.graph.CHUNK_ENTRIES, hydent.graph.SWEEP_BLOCK, hydent.graph.PANEL, id="262144"),
+    # 230 entries give chunks of a few rows, none a multiple of n
+    pytest.param(230, hydent.graph.SWEEP_BLOCK, hydent.graph.PANEL, id="230"),
+    # blocks of a few rows in windows narrower than n, doubling until final
+    pytest.param(hydent.graph.CHUNK_ENTRIES, 2, hydent.graph.PANEL, id="block2"),
+    pytest.param(hydent.graph.CHUNK_ENTRIES, 5, 1, id="block5-panel1"),
+    pytest.param(230, 3, 1, id="block3-panel1-230"),
+]
+
+
+def check_against_the_dense_stable_sort(name, x, k):
+    """knn_pattern's edges are the stable-sort oracle's, in CSR rows, with the dense distances."""
+    edges = knn_pattern(x, k)
+    expected = oracle.knn_pattern(oracle.squared_distances(x), k)
+    np.testing.assert_array_equal(pattern_of(edges), expected, err_msg=name)
+    # CSR rows: columns ascending within each row, no self-edges
+    rows = np.repeat(np.arange(x.shape[0]), np.diff(edges.indptr))
+    assert np.all(np.diff(rows * x.shape[0] + edges.indices) > 0), name
+    np.testing.assert_allclose(dense(edges)[expected], oracle.squared_distances(x)[expected],
+                               rtol=0.0, atol=1e-13, err_msg=name)
+
+
+@pytest.mark.parametrize("chunk_entries, sweep_block, panel", SWEEPS)
+def test_knn_pattern_matches_the_dense_stable_sort(monkeypatch, chunk_entries, sweep_block, panel):
     monkeypatch.setattr(hydent.graph, "CHUNK_ENTRIES", chunk_entries)
+    monkeypatch.setattr(hydent.graph, "SWEEP_BLOCK", sweep_block)
+    monkeypatch.setattr(hydent.graph, "PANEL", panel)
     for name, x, k in knn_cases():
-        edges = knn_pattern(x, k)
-        expected = oracle.knn_pattern(oracle.squared_distances(x), k)
-        np.testing.assert_array_equal(pattern_of(edges), expected, err_msg=name)
-        # CSR rows: columns ascending within each row, no self-edges
-        rows = np.repeat(np.arange(x.shape[0]), np.diff(edges.indptr))
-        assert np.all(np.diff(rows * x.shape[0] + edges.indices) > 0), name
-        np.testing.assert_allclose(dense(edges)[expected], oracle.squared_distances(x)[expected],
-                                   rtol=0.0, atol=1e-13, err_msg=name)
+        check_against_the_dense_stable_sort(name, x, k)
+
+
+def spy_on_windows(monkeypatch):
+    """Record (rows, window width) of every product knn_pattern's sweep asks for."""
+    calls = []
+    nearest = hydent.graph._nearest
+
+    def spy(features, norms, rows, cols, k, scratch):
+        calls.append((rows.copy(), cols.size))
+        return nearest(features, norms, rows, cols, k, scratch)
+
+    monkeypatch.setattr(hydent.graph, "_nearest", spy)
+    return calls
+
+
+def long_cases():
+    """(name, features, k): ties, duplicates and d > 2 spread along one feature, so windows stay narrow."""
+    rng = np.random.default_rng(41)
+    grid = np.stack(np.meshgrid(np.arange(20.0), np.arange(15.0)), axis=-1).reshape(-1, 2)
+    yield "duplicates", np.repeat(rng.normal(size=(100, 2)), 3, axis=0)[rng.permutation(300)], 4
+    yield "grid ties", grid[rng.permutation(grid.shape[0])], 5
+    yield "grid ties d=3", rng.integers(0, [40, 3, 3], size=(400, 3)).astype(float), 6
+    yield "d=5", rng.normal(size=(400, 5)) * [20.0, 1.0, 1.0, 1.0, 1.0], 5
+
+
+def test_knn_pattern_sweep_takes_every_path(monkeypatch):
+    # blocks of two rows: on each input some windows are narrower than n,
+    # some rows are not final in their first window and are computed again in
+    # a wider one, and a lone pending row is padded to a product of two rows;
+    # on knn_cases the sweep also reaches windows of all n rows
+    monkeypatch.setattr(hydent.graph, "SWEEP_BLOCK", 2)
+    calls = spy_on_windows(monkeypatch)
+    for name, x, k in long_cases():
+        calls.clear()
+        check_against_the_dense_stable_sort(name, x, k)
+        n = x.shape[0]
+        assert any(width < n for _, width in calls), name
+        assert sum(rows.size for rows, _ in calls) > n, name
+        assert any(rows.size == 1 for rows, _ in calls), name
+    for name, x, k in knn_cases():
+        calls.clear()
+        knn_pattern(x, k)
+        assert any(width == x.shape[0] for _, width in calls), name
+
+
+@pytest.mark.parametrize("covariance", [0.5, 1.0, 1.5])
+def test_knn_pattern_matches_the_dense_stable_sort_at_n2000(monkeypatch, covariance):
+    x = synth_noisy_gaussian(1000, covariance, seed=7).features
+    check_against_the_dense_stable_sort(f"covariance {covariance}", x, 5)
+    # brute force, the sweep's limit case: blocks so wide that every window
+    # holds all rows give the same edges, bit for bit (windows are aligned to PANEL)
+    swept = knn_pattern(x, 5)
+    monkeypatch.setattr(hydent.graph, "SWEEP_BLOCK", x.shape[0])
+    brute = knn_pattern(x, 5)
+    for got, want in zip(swept, brute):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_knn_pattern_computes_a_fraction_of_the_distances(monkeypatch):
+    # two blobs in the plane at n = 2000: the sweep evaluates fewer than a
+    # quarter of the n^2 squared distances, and one product covers every row
+    # at n = 200
+    calls = spy_on_windows(monkeypatch)
+    knn_pattern(synth_noisy_gaussian(1000, 1.0, seed=1).features, 5)
+    assert sum(rows.size * width for rows, width in calls) < 2000 ** 2 / 4
+    calls.clear()
+    knn_pattern(synth_noisy_gaussian(100, 1.0, seed=1).features, 5)
+    assert [(rows.size, width) for rows, width in calls] == [(200, 200)]
+
+
+def test_knn_pattern_keeps_products_within_chunk_entries(monkeypatch):
+    products = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        products.append(a.shape[0] * b.shape[1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    knn_pattern(synth_noisy_gaussian(1000, 1.0, seed=1).features, 5)
+    assert products and max(products) <= hydent.graph.CHUNK_ENTRIES
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_pattern_rejects_non_finite_features(bad):
+    x = np.random.default_rng(2).normal(size=(10, 2))
+    x[6, 1] = bad
+    with pytest.raises(ValueError, match="row 6: non-finite feature value"):
+        knn_pattern(x, 3)
+
+
+def test_knn_pattern_rejects_features_whose_squared_norm_overflows():
+    x = np.random.default_rng(2).normal(size=(10, 2))
+    x[4] = [1e200, 0.0]
+    with pytest.raises(ValueError, match="row 4: squared norm overflows"):
+        knn_pattern(x, 3)
+
+
+@pytest.mark.parametrize("shape", [(10,), (2, 5, 2), ()])
+def test_knn_pattern_rejects_features_that_are_not_2d(shape):
+    with pytest.raises(ValueError, match="2-D"):
+        knn_pattern(np.zeros(shape), 1)
 
 
 def test_gaussian_weights_unit_sigma_value():

@@ -20,6 +20,7 @@ import dense_oracle as oracle
 import hydent.graph
 import hydent.run
 import hydent.teacher
+import hydent.teaching
 from hydent.data import Dataset, SplitSpec, split, synth_noisy_gaussian
 from hydent.teacher import gap_matrix
 from hydent.run import (
@@ -592,3 +593,52 @@ def test_paired_t_test_validation():
         paired_t_test([0.5], [0.4])
     with pytest.raises(ValueError):
         paired_t_test([0.5, 0.6], [0.4])
+
+
+def test_round_moved_tells_whether_the_solve_left_its_start(monkeypatch):
+    # single-teacher-gaussian on a protocol input (two blobs of 100 at
+    # covariance 1.5): each round's flag is the solve's curriculum, as a set,
+    # against the one its easiest start reads as, and the solve moves in some
+    # rounds and keeps its start in others
+    solves = []
+    solve = hydent.run.bcd_solve
+
+    def spy(r_list, beta0, beta1, s):
+        solves.append((r_list, s, solve(r_list, beta0, beta1, s)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(hydent.run, "bcd_solve", spy)
+    dataset = synth_noisy_gaussian(100, 1.5, seed=1002)
+    labeled_idx, _ = split(dataset, SplitSpec(1, seed=1002))
+    result = run_baseline(dataset, labeled_idx, RunConfig(seed=1002), "single-teacher-gaussian")
+    solved = [r for r in result.rounds if r.converged is not None]
+    assert len(solved) == len(solves)
+    assert all((r.moved is None) == (r.converged is None) for r in result.rounds)
+    expected = []
+    for r_list, s, solution in solves:
+        easiest, _ = hydent.teaching.extract_curriculum(hydent.teaching.easiest_start(r_list, s), s)
+        expected.append(set(solution.curriculum.tolist()) != set(easiest.tolist()))
+    assert [r.moved for r in solved] == expected
+    assert True in expected and False in expected
+
+
+def test_round_moved_on_a_hand_built_solve(monkeypatch):
+    # a solve that returns its start's rows in another order has not moved;
+    # one that swaps a row for a candidate outside its start has
+    dataset, labeled_idx, _, config = small_problem(seed=2)
+    for swap in (False, True):
+        def fake(r_list, beta0, beta1, s, swap=swap):
+            diagonal = np.diag(r_list[0])
+            picks = np.argsort(diagonal, kind="stable")
+            curriculum = picks[:s][::-1].copy()
+            if swap:
+                curriculum[0] = picks[s]
+            weights = np.full((s, len(r_list)), 1.0 / len(r_list))
+            return hydent.teaching.TeachingSolution((), curriculum, weights, np.zeros(1), True)
+
+        monkeypatch.setattr(hydent.run, "bcd_solve", fake)
+        result = run_hydent(dataset, labeled_idx, config)
+        moved = [r.moved for r in result.rounds if r.moved is not None]
+        assert moved and all(flag == swap for flag in moved), swap
+    untaught = run_baseline(dataset, labeled_idx, config, "hybrid-no-teaching")
+    assert all(r.moved is None for r in untaught.rounds)

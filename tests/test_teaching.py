@@ -292,6 +292,17 @@ def test_extract_curriculum_prefers_nonsparse_rows():
     np.testing.assert_array_equal(positions, [1, 0])
 
 
+def test_extract_curriculum_ranks_by_surviving_count_before_norm():
+    # the count-first rule: a stacked row with two entries of 0.002, just above
+    # CUTOFF, outranks a row holding one entry of 1.0
+    blocks = [np.array([[1.0], [0.002], [0.0]]), np.array([[0.0], [0.002], [0.0]])]
+    positions, weights = extract_curriculum(blocks, 1)
+    np.testing.assert_array_equal(positions, [1])
+    np.testing.assert_allclose(weights, [[0.5, 0.5]])
+    positions, _ = extract_curriculum(blocks, 2)
+    np.testing.assert_array_equal(positions, [1, 0])
+
+
 def test_extract_curriculum_all_zero_falls_back():
     blocks = [np.array([[1e-5], [3e-4]]), np.array([[2e-5], [1e-4]])]
     with pytest.warns(UserWarning):
