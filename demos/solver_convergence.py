@@ -5,8 +5,10 @@ from the Gaussian weights, the one frontier and teacher it gives both
 learners, and the teacher's score matrix, once per learner.  Then solves
 the joint selection problem and prints the objective trace, which must
 fall monotonically (that is the solver's contract, asserted at the end).
-The solve starts where it starts in a run, at each score matrix's easiest
-candidates; the curriculum is compared with the naive strategy of just
+The frontier is read off a boolean mask of the anchored nodes, as a run
+keeps it.  The solve starts where it starts in a run, at each score
+matrix's easiest candidates, and reports whether its curriculum left that
+start's; the curriculum is compared with the naive strategy of just
 taking the smallest score diagonals, and with the one the solve ends in
 from an explicit random start.
 
@@ -36,7 +38,7 @@ from hydent import (
 def main():
     config = RunConfig(seed=0)
     dataset = synth_noisy_gaussian(100, 1.0, seed=0)
-    labeled_idx, unlabeled_idx = split(dataset, SplitSpec(1, seed=0))
+    labeled_idx, _ = split(dataset, SplitSpec(1, seed=0))
 
     # the kNN edges carry their squared distances; the weights go on the same edges
     weights = gaussian_weights(knn_pattern(dataset.features, config.k), config.sigma)
@@ -45,7 +47,9 @@ def main():
     # so as in a run both learners share one frontier and one teacher
     teacher = make_teacher(graph, config.kappa2)
 
-    candidates = candidate_set(graph, labeled_idx, unlabeled_idx)
+    anchored = np.zeros(dataset.n, dtype=bool)  # the run's mask of labeled and learned nodes
+    anchored[labeled_idx] = True
+    candidates = candidate_set(graph, anchored)
     by_class = {c: labeled_idx[dataset.labels[labeled_idx] == c] for c in range(2)}
     r_list = [teaching_matrix(teacher, candidates, by_class)] * len(config.kernels)
     s = next_size(candidates.size, math.exp(-config.gamma))  # the first round's feedback
@@ -54,7 +58,8 @@ def main():
     solution = bcd_solve(r_list, config.beta0, config.beta1, s)
     trace = np.asarray(solution.objective_trace)
     print(f"\nobjective: {trace[0]:.1f} -> {trace[-1]:.1f} "
-          f"over {len(trace) - 1} sweeps (converged: {solution.converged})")
+          f"over {len(trace) - 1} sweeps (converged: {solution.converged}, "
+          f"left its start's curriculum: {solution.moved})")
     marks = np.unique(np.geomspace(1, len(trace), num=12).astype(int) - 1)
     for i in marks:
         print(f"  sweep {i:3d}   Q = {trace[i]:.3f}")

@@ -11,8 +11,8 @@ matrix on the same edges.  Teachers read two dense inverses built from
 the Laplacian, and :func:`pseudoinverse` is one of them; both come from the symmetric
 positive-definite inverse :func:`spd_inverse`, a Cholesky factor inverted
 by blocks, so no run computes an eigendecomposition.  The graph's cached
-dense ``laplacian`` and its spectrum remain for inspection and tests, and
-are computed only when read.
+dense ``laplacian`` and its spectrum are computed only when read: the
+benchmark tracer (``bench/tracing.py``) and tests read them, no run does.
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ from .data import Dataset
 from .feedback import feedback_value, next_size
 from .graph import assemble, flap_style_weights, gaussian_weights, knn_pattern
 from .propagate import final_labels, init_labels, propagate_round, steady_state
-from .teacher import candidate_set, make_teacher, teaching_matrix
-from .teaching import bcd_solve, easiest_start, extract_curriculum
+from .teacher import _indices, candidate_set, make_teacher, teaching_matrix
+from .teaching import bcd_solve
 
 KNOWN_KERNELS = ("gaussian", "flap")
 
@@ -90,11 +90,11 @@ class RunConfig:
 class RoundRecord:
     """Trace of one teaching round.
 
-    ``converged`` tells whether the round's selection solve converged, and
-    ``moved`` whether the solve's curriculum differs, as a set, from the
-    one its easiest start (:func:`~hydent.teaching.easiest_start`) reads
-    as.  Both are None for rounds without a solve (no-teaching variants,
-    and rounds whose requested size covers the whole pool).
+    ``converged`` and ``moved`` are the round's selection solve's flags
+    (see :class:`~hydent.teaching.TeachingSolution`): whether it converged,
+    and whether its curriculum differs, as a set, from the one its start
+    reads as.  Both are None for rounds without a solve (no-teaching
+    variants, and rounds whose requested size covers the whole pool).
     """
 
     index: int
@@ -143,17 +143,6 @@ def evaluate(predictions, truth, unlabeled_idx) -> float:
     if unlabeled_idx.size == 0:
         return 1.0
     return float(np.mean(predictions[unlabeled_idx] == truth[unlabeled_idx]))
-
-
-def _indices(idx, role, n):
-    """``idx`` as int indices in [0, n); a boolean mask is refused, as it would read as 0 and 1."""
-    if np.asarray(idx).dtype == bool:
-        raise ValueError(f"{role} indices were given as a boolean mask; pass np.flatnonzero(mask)")
-    idx = np.asarray(idx, dtype=int)
-    outside = idx[(idx < 0) | (idx >= n)]
-    if outside.size:
-        raise ValueError(f"{role} index {outside[0]} is outside [0, {n})")
-    return idx
 
 
 def _build_graphs(features, config):
@@ -216,7 +205,7 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
     feedback = math.exp(-config.gamma)  # the first round's: rows still at the uniform prior
     while not anchored.all():
         tick = time.perf_counter()
-        candidates = candidate_set(graph, np.flatnonzero(anchored), np.flatnonzero(~anchored))
+        candidates = candidate_set(graph, anchored)
         pool = candidates.size
         size = next_size(pool, feedback) if teaching else pool
         if size < pool:
@@ -228,8 +217,7 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
             weights = solution.weights
             objective = solution.objective_trace
             converged = solution.converged
-            easiest, _ = extract_curriculum(easiest_start(r_list, size), size)
-            moved = set(solution.curriculum.tolist()) != set(easiest.tolist())
+            moved = solution.moved
         else:
             chosen = candidates
             weights = np.full((pool, learners), 1.0 / learners)
@@ -335,11 +323,12 @@ def result_to_json(result: RunResult) -> str:
 
 
 def write_rounds_csv(result: RunResult, path) -> None:
-    """Per-round trace: round, b, s, g, seconds, converged (1, 0, or empty without a solve)."""
+    """Per-round trace: round, b, s, g, seconds, converged, moved (each flag 1, 0, or empty without a solve)."""
     with open(path, "w") as handle:
         for r in result.rounds:
-            converged = "" if r.converged is None else int(r.converged)
-            handle.write(f"{r.index},{r.pool_size},{r.size},{repr(r.feedback)},{repr(r.seconds)},{converged}\n")
+            converged, moved = ("" if flag is None else int(flag) for flag in (r.converged, r.moved))
+            handle.write(f"{r.index},{r.pool_size},{r.size},{repr(r.feedback)},{repr(r.seconds)},"
+                         f"{converged},{moved}\n")
 
 
 def write_bcd_trace_csv(result: RunResult, path) -> None:

@@ -50,7 +50,7 @@ class TeacherState:
     Laplacian's pseudoinverse L+.  ``sigma`` is the conditional covariance
     of the ascending nodes ``free`` given the label of every other node:
     the first :func:`teaching_matrix` call starts it from the prior, and
-    every call downdates it.
+    every call downdates it; a call that drops an anchor raises.
     """
 
     graph: LearnerGraph
@@ -75,34 +75,35 @@ def make_teacher(graph: LearnerGraph, kappa2: float = 100.0) -> TeacherState:
     return TeacherState(graph, kappa2, pseudoinverse(graph))
 
 
-def candidate_set(
-    graph: LearnerGraph,
-    labeled: Sequence[int],
-    unlabeled: Sequence[int],
-) -> np.ndarray:
-    """Frontier candidates: unlabeled direct neighbors of the labeled set.
+def _indices(idx, role, n):
+    """``idx`` as int indices in [0, n); a boolean mask is refused, as it would read as 0 and 1."""
+    if np.asarray(idx).dtype == bool:
+        raise ValueError(f"{role} indices were given as a boolean mask; pass np.flatnonzero(mask)")
+    idx = np.asarray(idx, dtype=int)
+    outside = idx[(idx < 0) | (idx >= n)]
+    if outside.size:
+        raise ValueError(f"{role} index {outside[0]} is outside [0, {n})")
+    return idx
 
-    One pass over ``graph``'s edges asks, for every node, whether any
-    neighbor is labeled.  Every learner of a run shares ``graph``'s edges,
-    so every teacher scores this one candidate list.  If no unlabeled
-    example touches the labeled set (a disconnected frontier) the whole
-    unlabeled set is promoted, so the propagation loop can always make
-    progress.
+
+def candidate_set(graph: LearnerGraph, anchored: np.ndarray) -> np.ndarray:
+    """Frontier candidates: nodes outside the boolean mask ``anchored`` with a neighbor inside it.
+
+    ``anchored`` marks each labeled or learned node of ``graph``.  One pass
+    over ``graph``'s edges asks, for every node, whether any neighbor is
+    anchored.  Every learner of a run shares ``graph``'s edges, so every
+    teacher scores this one candidate list.  If no unanchored node touches
+    an anchored one (a disconnected frontier) every unanchored node is
+    promoted, so the propagation loop can always make progress.
     """
-    labeled = np.asarray(labeled, dtype=int)
-    unlabeled = np.asarray(unlabeled, dtype=int)
-    if unlabeled.size == 0:
-        return np.empty(0, dtype=int)
-    if labeled.size == 0:
+    anchored = np.asarray(anchored)
+    if anchored.dtype != bool or anchored.shape != (graph.n,):
+        raise ValueError(f"anchored must be a mask of {graph.n} booleans, not {anchored.dtype} {anchored.shape}")
+    if not anchored.any():
         raise ValueError("labeled set must be nonempty")
-    anchored = np.zeros(graph.n, dtype=bool)
-    anchored[labeled] = True
     # every row of an assembled graph has an edge, so no reduceat segment is empty
-    touches = np.logical_or.reduceat(anchored[graph.indices], graph.indptr[:-1])
-    frontier = touches[unlabeled]
-    if not frontier.any():
-        return np.sort(unlabeled)
-    return np.sort(unlabeled[frontier])
+    frontier = np.logical_or.reduceat(anchored[graph.indices], graph.indptr[:-1]) & ~anchored
+    return np.flatnonzero(frontier if frontier.any() else ~anchored)
 
 
 def gap_matrix(
@@ -157,18 +158,20 @@ def _schur_downdate(sigma: np.ndarray, keep: np.ndarray, cross: np.ndarray, bloc
 def _condition(teacher: TeacherState, anchored: np.ndarray) -> None:
     """Bring ``teacher.sigma`` to the covariance of the nodes outside the mask ``anchored``.
 
-    When the anchors include every node ``sigma`` is already conditioned on,
-    only the new ones are downdated out; otherwise ``sigma`` restarts from
-    the prior over every node, the inverse of the precision built from the
-    graph's edges, and all anchors are downdated out.
+    A teacher's first call starts ``sigma`` from the prior over every node,
+    the inverse of the precision built from the graph's edges.  Every call
+    then downdates out the anchors ``sigma`` is not yet conditioned on.  A
+    run's anchors only grow, so conditioning only runs forward: anchors that
+    are not a superset of the last call's are refused.
     """
     n = teacher.graph.n
-    # not a superset: some node outside teacher.free is no longer anchored
-    if teacher.sigma is None or anchored.sum() - anchored[teacher.free].sum() != n - teacher.free.size:
+    if teacher.sigma is None:
         teacher.free = np.arange(n)
         precision = teacher.graph.dense_laplacian()
         precision.flat[::n + 1] += 1.0 / teacher.kappa2
         teacher.sigma = spd_inverse(precision)
+    elif anchored.sum() - anchored[teacher.free].sum() != n - teacher.free.size:
+        raise ValueError("anchors must include the last call's; score fewer with a new make_teacher")
     drop = anchored[teacher.free]
     if drop.any():
         new, keep = np.flatnonzero(drop), np.flatnonzero(~drop)
@@ -184,17 +187,19 @@ def teaching_matrix(
 ) -> np.ndarray:
     """Per-teacher score matrix: reliability term plus discriminability diagonal.
 
-    Every labeled node is an anchor.  The reliability term is the
-    candidates' block of the conditional covariance given the anchors,
-    symmetrized; it is read from the teacher's running covariance, brought
-    up to these anchors first.  With fewer than two nonempty classes the
-    discriminability term is zero, so the result is the reliability block
-    alone.  Candidates must not be anchored.
+    Every labeled node is an anchor, and each call's anchors must include
+    the last call's.  The reliability term is the candidates' block of the
+    conditional covariance given the anchors, symmetrized; it is read from
+    the teacher's running covariance, brought up to these anchors first.
+    With fewer than two nonempty classes the discriminability term is zero,
+    so the result is the reliability block alone.  Candidates and class
+    members are node indices in [0, n); candidates must not be anchored.
     """
-    candidates = np.asarray(candidates, dtype=int)
-    anchored = np.zeros(teacher.graph.n, dtype=bool)
-    for members in labeled_by_class.values():
-        anchored[np.asarray(members, dtype=int)] = True
+    n = teacher.graph.n
+    candidates = _indices(candidates, "candidate", n)
+    anchored = np.zeros(n, dtype=bool)
+    for label, members in labeled_by_class.items():
+        anchored[_indices(members, f"class {label}", n)] = True
     if anchored[candidates].any():
         raise ValueError("candidates must not overlap the anchors")
     _condition(teacher, anchored)

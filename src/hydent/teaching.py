@@ -233,6 +233,8 @@ class TeachingSolution:
     ``curriculum`` holds candidate-pool positions in rank order and
     ``weights`` the matching per-teacher combination weights.  The
     objective trace has one entry per sweep plus the starting value.
+    ``moved`` tells whether the curriculum differs, as a set, from the one
+    the solve's start (``init`` or :func:`easiest_start`) reads as.
     """
 
     blocks: tuple
@@ -240,6 +242,7 @@ class TeachingSolution:
     weights: np.ndarray
     objective_trace: np.ndarray
     converged: bool
+    moved: bool
 
 
 def bcd_solve(r_list, beta0: float, beta1: float, s: int, *, init=None) -> TeachingSolution:
@@ -265,6 +268,7 @@ def bcd_solve(r_list, beta0: float, beta1: float, s: int, *, init=None) -> Teach
     blocks = easiest_start(r, s) if init is None else _as_stack(init, r)[0].copy()
     if blocks.shape[2] != s:
         raise ValueError("init blocks must have s columns")
+    start = set(extract_curriculum(blocks, s)[0].tolist())
 
     trace = [objective(blocks, r, beta0, beta1)]
     converged = False
@@ -279,14 +283,15 @@ def bcd_solve(r_list, beta0: float, beta1: float, s: int, *, init=None) -> Teach
             # lift the full objective by ~1e-14; stop rather than record a rise.
             converged = True
             break
-        moved = float(np.sqrt(np.sum((candidate - blocks) ** 2)))
+        shift = float(np.sqrt(np.sum((candidate - blocks) ** 2)))
         blocks = candidate
         trace.append(value)
-        if moved < EPSILON:
+        if shift < EPSILON:
             converged = True
             break
 
     if blocks.min() < -0.5 or blocks.max() > 1.5:
         warnings.warn("selection entries drifted outside [-0.5, 1.5]")
     curriculum, weights = extract_curriculum(blocks, s)
-    return TeachingSolution(tuple(blocks), curriculum, weights, np.asarray(trace), converged)
+    moved = set(curriculum.tolist()) != start
+    return TeachingSolution(tuple(blocks), curriculum, weights, np.asarray(trace), converged, moved)

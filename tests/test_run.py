@@ -526,10 +526,14 @@ def test_trace_csv_files(tmp_path):
     round_lines = rounds_path.read_text().strip().splitlines()
     assert len(round_lines) == len(result.rounds)
     assert round_lines[0].split(",")[0] == "1"
-    # the sixth column records whether each round's solve converged, and is
-    # empty for a round that taught its whole pool without a solve
+    # the sixth and seventh columns record whether each round's solve
+    # converged and whether it moved, and are empty for a round that taught
+    # its whole pool without a solve
+    assert all(len(line.split(",")) == 7 for line in round_lines)
     assert [line.split(",")[5] for line in round_lines] == [
         "" if r.converged is None else str(int(r.converged)) for r in result.rounds]
+    assert [line.split(",")[6] for line in round_lines] == [
+        "" if r.moved is None else str(int(r.moved)) for r in result.rounds]
     assert any(r.converged is not None for r in result.rounds)
     assert all((r.converged is None) == (r.size == r.pool_size) for r in result.rounds)
     trace_lines = trace_path.read_text().strip().splitlines()
@@ -537,11 +541,11 @@ def test_trace_csv_files(tmp_path):
     # Q column parses as float and starts each round at iteration 0
     first = trace_lines[0].split(",")
     assert first[1] == "0" and float(first[2]) > 0.0
-    # rounds without a solve leave the converged column empty
+    # rounds without a solve leave the converged and moved columns empty
     untaught = run_baseline(dataset, labeled_idx, config, "hybrid-no-teaching")
     assert all(r.converged is None for r in untaught.rounds)
     write_rounds_csv(untaught, rounds_path)
-    assert all(line.split(",")[5] == "" for line in rounds_path.read_text().splitlines())
+    assert all(line.split(",")[5:] == ["", ""] for line in rounds_path.read_text().splitlines())
 
 
 def test_paired_t_test_hand_worked_example():
@@ -618,13 +622,14 @@ def test_round_moved_tells_whether_the_solve_left_its_start(monkeypatch):
     for r_list, s, solution in solves:
         easiest, _ = hydent.teaching.extract_curriculum(hydent.teaching.easiest_start(r_list, s), s)
         expected.append(set(solution.curriculum.tolist()) != set(easiest.tolist()))
-    assert [r.moved for r in solved] == expected
+    assert [r.moved for r in solved] == expected == [solution.moved for _, _, solution in solves]
     assert True in expected and False in expected
 
 
 def test_round_moved_on_a_hand_built_solve(monkeypatch):
-    # a solve that returns its start's rows in another order has not moved;
-    # one that swaps a row for a candidate outside its start has
+    # the driver records the flag its solve reports and judges no curriculum
+    # itself; whether reordered or swapped rows count as moved is the solve's
+    # own contract (test_teaching.py)
     dataset, labeled_idx, _, config = small_problem(seed=2)
     for swap in (False, True):
         def fake(r_list, beta0, beta1, s, swap=swap):
@@ -634,7 +639,7 @@ def test_round_moved_on_a_hand_built_solve(monkeypatch):
             if swap:
                 curriculum[0] = picks[s]
             weights = np.full((s, len(r_list)), 1.0 / len(r_list))
-            return hydent.teaching.TeachingSolution((), curriculum, weights, np.zeros(1), True)
+            return hydent.teaching.TeachingSolution((), curriculum, weights, np.zeros(1), True, swap)
 
         monkeypatch.setattr(hydent.run, "bcd_solve", fake)
         result = run_hydent(dataset, labeled_idx, config)

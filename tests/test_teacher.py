@@ -161,7 +161,7 @@ def two_component_graph(rng, n):
 def test_running_covariance_matches_schur_oracle(seed, split):
     # anchor nodes one at a time and in blocks until one node is left: after
     # each teaching_matrix call the downdated covariance of every free node
-    # must equal the dense Schur complement, as must a rebuild from fewer anchors
+    # must equal the dense Schur complement
     rng = np.random.default_rng(seed)
     g = two_component_graph(rng, 24) if split else random_graph(rng, 24)
     steps = (1, 1, 3, 1, 5)
@@ -183,14 +183,13 @@ def test_running_covariance_matches_schur_oracle(seed, split):
                                        expected[::2, ::2], rtol=1e-10,
                                        atol=1e-10 * np.abs(expected).max())
             if calls == 4:
-                # anchors that are not a superset of the last call's: rebuilt from the prior
-                fewer = {0: anchors[:2], 1: anchors[2:3]}
-                teaching_matrix(teacher, free, fewer)
-                rest = np.sort(order[3:])
-                np.testing.assert_array_equal(teacher.free, rest)
-                expected = oracle.schur_oracle(g.laplacian, kappa2, rest, order[:3])
-                np.testing.assert_allclose(teacher.sigma, expected, rtol=1e-10,
-                                           atol=1e-10 * np.abs(expected).max())
+                # anchors that are not a superset of the last call's are refused,
+                # and the teacher keeps the covariance it had
+                sigma = teacher.sigma.copy()
+                with pytest.raises(ValueError, match="new make_teacher"):
+                    teaching_matrix(teacher, free, {0: anchors[:2], 1: anchors[2:3]})
+                np.testing.assert_array_equal(teacher.free, free)
+                np.testing.assert_array_equal(teacher.sigma, sigma)
         assert calls >= 8
 
 
@@ -199,6 +198,40 @@ def test_reliability_rejects_anchored_candidates():
     for by_class in ({0: [0], 1: [2]}, {0: [0, 2]}, {0: [2], 1: [4]}):
         with pytest.raises(ValueError, match="candidates must not overlap the anchors"):
             teaching_matrix(make_teacher(g), [1, 2], by_class)
+
+
+def test_a_teacher_only_conditions_forward():
+    # a second call with the same anchors only reads the covariance, one with
+    # more downdates it, and one that drops an anchor (or swaps one for
+    # another) raises; a new teacher scores the smaller set
+    g = chain_graph(5)
+    teacher = make_teacher(g)
+    first = teaching_matrix(teacher, [1, 2], {0: [0], 1: [4]})
+    sigma = teacher.sigma
+    np.testing.assert_array_equal(teaching_matrix(teacher, [1, 2], {0: [0], 1: [4]}), first)
+    assert teacher.sigma is sigma
+    teaching_matrix(teacher, [2], {0: [0, 1], 1: [4]})
+    np.testing.assert_array_equal(teacher.free, [2, 3])
+    for shrunk in ({0: [0], 1: [4]}, {0: [0, 1]}, {0: [0, 3], 1: [4]}):
+        with pytest.raises(ValueError, match="make_teacher"):
+            teaching_matrix(teacher, [2], shrunk)
+        np.testing.assert_array_equal(teacher.free, [2, 3])
+    np.testing.assert_array_equal(teaching_matrix(make_teacher(g), [1, 2], {0: [0], 1: [4]}), first)
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_scoring_rejects_candidates_outside_the_graph(bad):
+    # -1 once read node 2's reliability through searchsorted and node 4's gap,
+    # and 5 raised a bare IndexError
+    with pytest.raises(ValueError, match=rf"candidate index {bad} is outside \[0, 5\)"):
+        teaching_matrix(make_teacher(chain_graph(5)), [bad], {0: [0], 1: [1]})
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_scoring_rejects_class_members_outside_the_graph(bad):
+    # a member -1 once anchored node n - 1 without a word
+    with pytest.raises(ValueError, match=rf"class 1 index {bad} is outside \[0, 5\)"):
+        teaching_matrix(make_teacher(chain_graph(5)), [2], {0: [0], 1: [1, bad]})
 
 
 def test_reliability_is_psd_and_symmetric():
@@ -338,10 +371,17 @@ def test_teaching_matrix_is_sum_of_parts():
     np.testing.assert_allclose(R, rel + G, atol=1e-12)
 
 
+def anchored_mask(n, anchors):
+    """The boolean mask a run keeps: True at each anchored (labeled or learned) node."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.asarray(anchors, dtype=int)] = True
+    return mask
+
+
 def test_candidate_set_frontier_on_chain():
     g = chain_graph(5)
-    np.testing.assert_array_equal(candidate_set(g, [0], [1, 2, 3, 4]), [1])
-    np.testing.assert_array_equal(candidate_set(g, [0, 1], [2, 3, 4]), [2])
+    np.testing.assert_array_equal(candidate_set(g, anchored_mask(5, [0])), [1])
+    np.testing.assert_array_equal(candidate_set(g, anchored_mask(5, [0, 1])), [2])
 
 
 def test_candidate_set_promotes_all_when_disconnected():
@@ -349,14 +389,25 @@ def test_candidate_set_promotes_all_when_disconnected():
     W[0, 1] = W[1, 0] = 1.0
     W[2, 3] = W[3, 2] = 1.0
     g = graph_of(W)
-    np.testing.assert_array_equal(candidate_set(g, [0, 1], [2, 3]), [2, 3])
+    np.testing.assert_array_equal(candidate_set(g, anchored_mask(4, [0, 1])), [2, 3])
 
 
 def test_candidate_set_edge_cases():
     g = chain_graph(3)
-    assert candidate_set(g, [0], []).size == 0
-    with pytest.raises(ValueError):
-        candidate_set(g, [], [1, 2])
+    assert candidate_set(g, np.ones(3, dtype=bool)).size == 0
+    with pytest.raises(ValueError, match="labeled set must be nonempty"):
+        candidate_set(g, np.zeros(3, dtype=bool))
+
+
+def test_candidate_set_rejects_anything_but_a_mask_of_every_node():
+    # index lists once let a labeled node become a candidate ([0, 1] with [1, 2]),
+    # a repeated node come back twice, or a node next to the labeled set be
+    # promoted as if the frontier were disconnected; a mask can say none of these
+    g = chain_graph(4)
+    for bad in ([0, 1], np.array([0, 1, 2, 3]), np.ones(4), [True, False, False],
+                np.zeros(5, dtype=bool), np.zeros((4, 1), dtype=bool)):
+        with pytest.raises(ValueError, match="mask of 4 booleans"):
+            candidate_set(g, bad)
 
 
 def test_candidate_set_matches_the_dense_frontier():
@@ -376,8 +427,8 @@ def test_candidate_set_matches_the_dense_frontier():
             order = rng.permutation(g.n)
             labeled = np.sort(order[: rng.integers(1, g.n)])
             unlabeled = order[labeled.size:]
-            np.testing.assert_array_equal(candidate_set(g, labeled, unlabeled),
+            np.testing.assert_array_equal(candidate_set(g, anchored_mask(g.n, labeled)),
                                           oracle.candidate_set(W, labeled, unlabeled))
     # the underflowed edges {0,3}, {1,3}, {2,3}, {2,4}, {2,5} make no frontier
-    np.testing.assert_array_equal(candidate_set(assemble(underflow), [0, 1, 2], [3, 4, 5]), [3, 4, 5])
-    np.testing.assert_array_equal(candidate_set(assemble(underflow), [0, 1, 3], [2, 4, 5]), [2, 4, 5])
+    np.testing.assert_array_equal(candidate_set(assemble(underflow), anchored_mask(6, [0, 1, 2])), [3, 4, 5])
+    np.testing.assert_array_equal(candidate_set(assemble(underflow), anchored_mask(6, [0, 1, 3])), [2, 4, 5])

@@ -12,6 +12,7 @@ Oracles used here:
   * hand-worked values for the extraction example.
 """
 
+import itertools
 import re
 import warnings
 
@@ -398,6 +399,35 @@ def test_easiest_start_picks_each_teachers_lowest_diagonal():
     assert easiest_start([np.eye(3)], 7)[0].shape == (3, 3)
 
 
+def test_easiest_start_is_the_binary_optimum_for_identical_teachers():
+    # over every s-row pick per teacher, as 0/1 blocks with orthonormal
+    # columns, both beta1 penalties vanish: the objective is the picked
+    # diagonal plus beta0 * sum over rows of sqrt(teachers picking the row).
+    # For identical teachers its brute-force optimum is the easiest start,
+    # and that start reads as the optimum's rows.
+    rng = np.random.default_rng(24)
+    for m in (1, 2):
+        for b in range(1, 8):
+            for s in range(1, min(b, 3) + 1):
+                a = rng.normal(size=(b, b))
+                r_list = [a @ a.T] * m
+                beta0, beta1 = 10.0 ** rng.uniform(-1, 2, size=2)
+                best, best_rows = np.inf, None
+                for picks in itertools.product(itertools.combinations(range(b), s), repeat=m):
+                    blocks = np.zeros((m, b, s))
+                    for teacher, rows in enumerate(picks):
+                        blocks[teacher, rows, np.arange(s)] = 1.0
+                    value = objective(blocks, r_list, beta0, beta1)
+                    counts = np.bincount(np.concatenate(picks), minlength=b)
+                    closed = np.diag(r_list[0])[np.concatenate(picks)].sum() + beta0 * np.sqrt(counts).sum()
+                    assert value == pytest.approx(closed, rel=1e-12)
+                    if value < best:
+                        best, best_rows = value, set(np.concatenate(picks).tolist())
+                start = easiest_start(r_list, s)
+                assert objective(start, r_list, beta0, beta1) == pytest.approx(best, rel=1e-12)
+                assert set(extract_curriculum(start, s)[0].tolist()) == best_rows
+
+
 def test_bcd_solve_from_easiest_start_keeps_the_cheap_rows():
     # under strong penalties the solve stays near the binary block it starts
     # from, so the start decides; from the easiest start the cheap rows stay
@@ -420,6 +450,43 @@ def test_bcd_solve_starts_from_the_easiest_start_by_default():
         np.testing.assert_array_equal(default.curriculum, given.curriculum)
         np.testing.assert_array_equal(default.weights, given.weights)
         assert default.converged == given.converged
+        assert default.moved == given.moved
+
+
+def test_bcd_solve_reports_moved_against_the_given_start():
+    # held by strong penalties at an expensive start, the solve keeps that
+    # start's rows: it has not moved, though the easiest start reads {1, 3}
+    r = np.diag([5.0, 0.2, 6.0, 0.1, 7.0])
+    init = np.zeros((2, 5, 2))
+    init[:, 2, 0] = init[:, 0, 1] = 1.0
+    sol = bcd_solve([r, r], 100.0, 100.0, 2, init=init)
+    assert sorted(sol.curriculum.tolist()) == [0, 2] and not sol.moved
+    assert sorted(bcd_solve([r, r], 100.0, 100.0, 2).curriculum.tolist()) == [1, 3]
+
+
+def test_bcd_solve_moved_compares_sets_not_order():
+    # a start reads as rows [1, 3] (equal counts and norms, so by index); the
+    # cheaper row 3 keeps more mass and ranks first, yet the set is the start's
+    r = np.diag([5.0, 0.2, 6.0, 0.1, 7.0])
+    init = np.zeros((1, 5, 2))
+    init[0, 3, 0] = init[0, 1, 1] = 1.0
+    np.testing.assert_array_equal(extract_curriculum(init, 2)[0], [1, 3])
+    sol = bcd_solve([r], 100.0, 100.0, 2, init=init)
+    np.testing.assert_array_equal(sol.curriculum, [3, 1])
+    assert not sol.moved
+
+
+def test_bcd_solve_moved_when_a_row_is_swapped_in():
+    # row 0 is coupled to both picked rows, so its two entries drift to about
+    # 0.005, above CUTOFF; ranked by surviving count it displaces picked row 1
+    r = np.zeros((4, 4))
+    r[:3, :3] = [[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]]
+    r[3, 3] = 3.0
+    init = np.zeros((1, 4, 2))
+    init[0, 1, 0] = init[0, 2, 1] = 1.0
+    sol = bcd_solve([r], 0.0, 100.0, 2, init=init)
+    np.testing.assert_array_equal(sol.curriculum, [0, 2])
+    assert sol.moved
 
 
 def test_bcd_solve_rejects_bad_sizes():
@@ -446,6 +513,7 @@ def two_guard_solve(r_list, beta0, beta1, s, init=None):
     r = np.asarray(r_list, dtype=float)
     s = min(s, r.shape[1])
     blocks = easiest_start(r, s) if init is None else np.array(init, dtype=float)
+    start = blocks
     trace = [objective(blocks, r, beta0, beta1)]
     converged = False
     for _ in range(300):
@@ -468,7 +536,8 @@ def two_guard_solve(r_list, beta0, beta1, s, init=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hydent.teaching, "CUTOFF", 0.001)
         curriculum, weights = extract_curriculum(blocks, s)
-    return TeachingSolution(tuple(blocks), curriculum, weights, np.asarray(trace), converged)
+        moved = set(curriculum.tolist()) != set(extract_curriculum(start, s)[0].tolist())
+    return TeachingSolution(tuple(blocks), curriculum, weights, np.asarray(trace), converged, moved)
 
 
 def assert_same_solution(got, want):
@@ -477,6 +546,7 @@ def assert_same_solution(got, want):
     np.testing.assert_array_equal(got.weights, want.weights)
     np.testing.assert_array_equal(got.objective_trace, want.objective_trace)
     assert got.converged == want.converged
+    assert got.moved == want.moved
 
 
 def test_bcd_solve_matches_the_two_guard_loop_on_random_instances():
