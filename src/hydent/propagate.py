@@ -8,10 +8,10 @@ sparse edges, and differs only in its stay vector a, the share of its own
 scores each row keeps: the learner's iteration matrix is
 (1 - a) P + diag(a), zeros for the Gaussian learner and s / (degree + s)
 for flap.  Each round the current curriculum rows (and every previously
-learned row) are refreshed synchronously from the last state, blended
-across learners.  The closing pass solves each learner's damped diffusion
-to its limit by conjugate gradients on the same edges, so no n x n system
-is built.
+learned row) are refreshed synchronously from the last state at one stay
+vector, the one the driver pools its learners' into.  The closing pass
+solves each learner's damped diffusion to its limit by conjugate gradients
+on the same edges, so no n x n system is built.
 """
 
 from __future__ import annotations
@@ -42,35 +42,34 @@ def init_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
     return scores
 
 
-def propagate_round(previous, graph, curriculum, weights, learned, initial, stays):
+def propagate_round(previous, graph, curriculum, stay, learned, initial):
     """One synchronous refresh of the active rows over ``graph``'s iteration matrix P.
 
-    ``stays`` holds one stay vector per learner.  ``curriculum`` rows are
-    blended across learners with their per-row weights (each row sums to
-    one); ``learned`` rows (from earlier rounds) are blended uniformly.  As
-    every learner's update of a row is (1 - a) (P F)[row] + a F[row], the
-    blend is that update at the row's blended stay, so one sparse product
-    P F serves every learner.  Every other row is reset to its ``initial``
-    value, which keeps labeled rows pinned and untouched rows at the prior.
-    All updates read the same ``previous`` state.
+    ``stay`` holds one share per node.  Each ``curriculum`` row and each
+    ``learned`` row (from earlier rounds) becomes (1 - a) (P F)[row] +
+    a F[row] at its share a: the update of the learner with stay vector
+    ``stay``, and, as that update is affine in a, the uniform blend of
+    learners whose stay vectors average to ``stay``.  Every other row is
+    reset to its ``initial`` value, which keeps labeled rows pinned and
+    untouched rows at the prior.  All updates read the same ``previous``
+    state.
     """
     previous = np.asarray(previous, dtype=float)
     curriculum = np.asarray(curriculum, dtype=int)
     learned = np.asarray(learned, dtype=int)
-    stays = np.asarray(stays, dtype=float)
+    stay = np.asarray(stay, dtype=float)
+    if stay.shape != previous.shape[:1]:
+        raise ValueError(f"stay must hold one share per node, shape ({previous.shape[0]},), not {stay.shape}")
     if curriculum.size and learned.size:
         seen = np.zeros(previous.shape[0], dtype=bool)
         seen[learned] = True
         if seen[curriculum].any():
             raise ValueError("curriculum rows must not already be learned")
-    if np.shape(weights) != (curriculum.size, stays.shape[0]):
-        raise ValueError("one weight row per curriculum node is required")
 
     rows = np.concatenate([learned, curriculum])
-    stay = np.concatenate([stays[:, learned].mean(axis=0), (weights * stays[:, curriculum].T).sum(axis=1)])
     spread = graph.product(graph.iteration, previous)
     scores = np.array(initial, dtype=float, copy=True)
-    scores[rows] = (1.0 - stay)[:, None] * spread[rows] + stay[:, None] * previous[rows]
+    scores[rows] = (1.0 - stay[rows])[:, None] * spread[rows] + stay[rows, None] * previous[rows]
 
     sums = scores.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > 1e-12:

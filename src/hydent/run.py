@@ -4,11 +4,13 @@ A run starts from a fully labeled dataset and the indices revealed to the
 algorithm.  Each round gathers the frontier of unlabeled nodes adjacent to
 anything already labeled or learned, asks the teachers for a curriculum
 (unless the variant disables teaching or the requested size covers the
-whole frontier, in which case the whole frontier is taken with uniform
-weights; each teacher's solve starts from its own easiest candidates),
-propagates one synchronous step, and measures feedback to size the
-next curriculum.  When nothing is left unlearned the per-learner damped
-diffusions are solved to their limits, averaged, and read out by argmax.
+whole frontier, in which case the whole frontier is taken; each teacher's
+solve starts from its own easiest candidates), propagates one synchronous
+step, and measures feedback to size the next curriculum.  When nothing is
+left unlearned the per-learner damped diffusions are solved to their
+limits, averaged, and read out by argmax.  The learners are pooled
+uniformly throughout: each round propagates at their mean stay vector,
+and the closure averages their limits.
 
 Every learner shares one sparse kNN graph, built once per run: a learner
 is its stay vector over that graph (see ``propagate.py``), and one teacher
@@ -90,6 +92,8 @@ class RunConfig:
 class RoundRecord:
     """Trace of one teaching round.
 
+    ``curriculum`` holds the nodes the round taught, and ``scores`` the
+    state after its propagation, which ran at the learners' pooled stay.
     ``converged`` and ``moved`` are the round's selection solve's flags
     (see :class:`~hydent.teaching.TeachingSolution`): whether it converged,
     and whether its curriculum differs, as a set, from the one its start
@@ -104,7 +108,6 @@ class RoundRecord:
     seconds: float
     objective: np.ndarray
     curriculum: np.ndarray
-    weights: np.ndarray
     scores: np.ndarray
     converged: bool | None
     moved: bool | None
@@ -191,7 +194,7 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
         raise ValueError("labeled indices must carry known classes")
 
     graph, stays = _build_graphs(dataset.features, config)
-    learners = len(stays)
+    pooled = stays.mean(axis=0)  # every round pools the learners uniformly, as the closure does
     teacher = make_teacher(graph, config.kappa2) if teaching else None
 
     start = init_labels(masked, c)
@@ -211,20 +214,18 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
         if size < pool:
             by_class = _classes_so_far(masked, learned, scores, c)
             # one teacher judges for every learner; the solve takes a score matrix per learner
-            r_list = [teaching_matrix(teacher, candidates, by_class)] * learners
+            r_list = [teaching_matrix(teacher, candidates, by_class)] * len(stays)
             solution = bcd_solve(r_list, config.beta0, config.beta1, size)
             chosen = candidates[solution.curriculum]
-            weights = solution.weights
             objective = solution.objective_trace
             converged = solution.converged
             moved = solution.moved
         else:
             chosen = candidates
-            weights = np.full((pool, learners), 1.0 / learners)
             objective = np.empty(0)
             converged = moved = None
 
-        scores = propagate_round(scores, graph, chosen, weights, learned, start, stays)
+        scores = propagate_round(scores, graph, chosen, pooled, learned, start)
         feedback = feedback_value(scores[chosen], c, config.gamma)
         learned = np.concatenate([learned, chosen])
         anchored[chosen] = True
@@ -237,7 +238,6 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
             seconds=time.perf_counter() - tick,
             objective=objective,
             curriculum=chosen,
-            weights=weights,
             scores=scores,
             converged=converged,
             moved=moved,

@@ -76,10 +76,15 @@ def make_teacher(graph: LearnerGraph, kappa2: float = 100.0) -> TeacherState:
 
 
 def _indices(idx, role, n):
-    """``idx`` as int indices in [0, n); a boolean mask is refused, as it would read as 0 and 1."""
-    if np.asarray(idx).dtype == bool:
+    """``idx`` as int indices in [0, n); a boolean mask (read as 0 and 1) and a fractional index are refused."""
+    idx = np.asarray(idx)
+    if idx.dtype == bool:
         raise ValueError(f"{role} indices were given as a boolean mask; pass np.flatnonzero(mask)")
-    idx = np.asarray(idx, dtype=int)
+    if idx.dtype.kind == "f":  # whole floats pass, so an empty list reads as no indices
+        fractional = idx[~(np.isfinite(idx) & (idx == np.floor(idx)))]
+        if fractional.size:
+            raise ValueError(f"{role} index {fractional[0]} is not a whole number")
+    idx = idx.astype(int, copy=False)
     outside = idx[(idx < 0) | (idx >= n)]
     if outside.size:
         raise ValueError(f"{role} index {outside[0]} is outside [0, {n})")
@@ -116,20 +121,23 @@ def gap_matrix(
     The gap is the difference between a candidate's two smallest class-mean
     commute times, floored at ``GAP_FLOOR``.  With fewer than two labeled
     classes there is nothing to discriminate between, so the penalty is
-    disabled (all zeros) for this round.
+    disabled (all zeros) for this round.  Candidates and class members are
+    node indices in [0, n).
 
     The mean commute time from i to class c is
     L+_ii - 2 mean_{j in c} L+_ij + mean_{j in c} L+_jj; L+_ii is common to
     every class and dropped, so a call reads the candidates' rows of the
     teacher's ``pinv`` at the labeled columns, O(|candidates| |labeled|).
     """
-    groups = [members for members in labeled_by_class.values() if len(members) > 0]
+    n = teacher.graph.n
+    candidates = _indices(candidates, "candidate", n)
+    groups = [_indices(members, f"class {label}", n) for label, members in labeled_by_class.items()]
+    groups = [members for members in groups if members.size]
     if len(groups) < 2:
-        return np.zeros((len(candidates), len(candidates)))
+        return np.zeros((candidates.size, candidates.size))
     pinv = teacher.pinv
-    candidates = np.asarray(candidates, dtype=int)
-    means = np.empty((len(candidates), len(groups)))
-    for at, members in enumerate(np.asarray(members, dtype=int) for members in groups):
+    means = np.empty((candidates.size, len(groups)))
+    for at, members in enumerate(groups):
         means[:, at] = -2.0 * pinv[np.ix_(candidates, members)].mean(axis=1) + pinv[members, members].mean()
     means.sort(axis=1)
     gaps = np.maximum(means[:, 1] - means[:, 0], GAP_FLOOR)
@@ -193,10 +201,14 @@ def teaching_matrix(
     the teacher's running covariance, brought up to these anchors first.
     With fewer than two nonempty classes the discriminability term is zero,
     so the result is the reliability block alone.  Candidates and class
-    members are node indices in [0, n); candidates must not be anchored.
+    members are node indices in [0, n); candidates must be distinct and
+    must not be anchored.
     """
     n = teacher.graph.n
     candidates = _indices(candidates, "candidate", n)
+    repeated = np.flatnonzero(np.bincount(candidates, minlength=n) > 1)
+    if repeated.size:
+        raise ValueError(f"candidate {repeated[0]} is repeated; each candidate may appear once")
     anchored = np.zeros(n, dtype=bool)
     for label, members in labeled_by_class.items():
         anchored[_indices(members, f"class {label}", n)] = True

@@ -171,42 +171,28 @@ def exact_step(coefficients) -> np.ndarray:
     return np.take_along_axis(t, np.argmin(gain, axis=-1)[..., None], axis=-1)[..., 0]
 
 
-def extract_curriculum(blocks, s: int):
-    """Pick the curriculum rows and per-teacher weights out of a solution.
+def extract_curriculum(blocks, s: int) -> np.ndarray:
+    """Pick the curriculum rows out of a solution.
 
     Entries below ``CUTOFF`` in magnitude are zeroed; rows are ranked by
     surviving-entry count, then row norm, then candidate index, and the top
     ``s`` (or fewer, if thresholding left fewer nonzero rows) become the
-    curriculum.  Each curriculum row gets per-teacher weights proportional
-    to the absolute surviving mass in that teacher's block.
-
-    Returns ``(positions, weights)`` where positions index into the
-    candidate pool in rank order and weights has one row-stochastic row per
-    position.
+    curriculum.  Returns their positions in the candidate pool, in rank
+    order.
     """
     stacked = np.hstack(blocks)
     b = stacked.shape[0]
-    teachers = len(blocks)
     want = min(s, b)
 
     kept = np.where(np.abs(stacked) >= CUTOFF, stacked, 0.0)
     counts = (kept != 0.0).sum(axis=1)
     if not counts.any():
         warnings.warn("every selection entry fell below the threshold; ranking by raw row norms")
-        order = np.lexsort((np.arange(b), -np.linalg.norm(stacked, axis=1)))
-        positions = order[:want]
-        return positions, np.full((len(positions), teachers), 1.0 / teachers)
+        return np.lexsort((np.arange(b), -np.linalg.norm(stacked, axis=1)))[:want]
 
     norms = np.linalg.norm(kept, axis=1)
     order = np.lexsort((np.arange(b), -norms, -counts))
-    positions = order[: min(want, int((counts > 0).sum()))]
-
-    per_teacher = np.abs(kept[positions]).reshape(len(positions), teachers, -1).sum(axis=2)
-    totals = per_teacher.sum(axis=1)
-    weights = np.full((len(positions), teachers), 1.0 / teachers)
-    covered = totals > 0
-    weights[covered] = per_teacher[covered] / totals[covered, None]
-    return positions, weights
+    return order[: min(want, int((counts > 0).sum()))]
 
 
 def easiest_start(r_list, s: int) -> np.ndarray:
@@ -230,8 +216,7 @@ def easiest_start(r_list, s: int) -> np.ndarray:
 class TeachingSolution:
     """Outcome of one joint curriculum optimization.
 
-    ``curriculum`` holds candidate-pool positions in rank order and
-    ``weights`` the matching per-teacher combination weights.  The
+    ``curriculum`` holds candidate-pool positions in rank order.  The
     objective trace has one entry per sweep plus the starting value.
     ``moved`` tells whether the curriculum differs, as a set, from the one
     the solve's start (``init`` or :func:`easiest_start`) reads as.
@@ -239,7 +224,6 @@ class TeachingSolution:
 
     blocks: tuple
     curriculum: np.ndarray
-    weights: np.ndarray
     objective_trace: np.ndarray
     converged: bool
     moved: bool
@@ -268,7 +252,7 @@ def bcd_solve(r_list, beta0: float, beta1: float, s: int, *, init=None) -> Teach
     blocks = easiest_start(r, s) if init is None else _as_stack(init, r)[0].copy()
     if blocks.shape[2] != s:
         raise ValueError("init blocks must have s columns")
-    start = set(extract_curriculum(blocks, s)[0].tolist())
+    start = set(extract_curriculum(blocks, s).tolist())
 
     trace = [objective(blocks, r, beta0, beta1)]
     converged = False
@@ -292,6 +276,6 @@ def bcd_solve(r_list, beta0: float, beta1: float, s: int, *, init=None) -> Teach
 
     if blocks.min() < -0.5 or blocks.max() > 1.5:
         warnings.warn("selection entries drifted outside [-0.5, 1.5]")
-    curriculum, weights = extract_curriculum(blocks, s)
+    curriculum = extract_curriculum(blocks, s)
     moved = set(curriculum.tolist()) != start
-    return TeachingSolution(tuple(blocks), curriculum, weights, np.asarray(trace), converged, moved)
+    return TeachingSolution(tuple(blocks), curriculum, np.asarray(trace), converged, moved)

@@ -113,10 +113,19 @@ def candidate_set(W: np.ndarray, labeled, unlabeled) -> np.ndarray:
     return np.sort(unlabeled[frontier] if frontier.any() else unlabeled)
 
 
+def blended_stay(curriculum, weights, learned, stays):
+    """The per-row blend of the learners' stays the pooled stay replaced, on the rows learned + curriculum.
+
+    Learned rows average the learners uniformly; each curriculum row blends
+    them by its own row of ``weights``, one weight per learner.
+    """
+    return np.concatenate([stays[:, learned].mean(axis=0), (weights * stays[:, curriculum].T).sum(axis=1)])
+
+
 def propagate_round(previous, P, curriculum, weights, learned, initial, stays):
-    """The refresh with dense row gathers of P."""
+    """The refresh with dense row gathers of P and each curriculum row's learners blended by its weights."""
     rows = np.concatenate([learned, curriculum]).astype(int)
-    stay = np.concatenate([stays[:, learned].mean(axis=0), (weights * stays[:, curriculum].T).sum(axis=1)])
+    stay = blended_stay(curriculum, weights, learned, stays)
     scores = np.array(initial, dtype=float, copy=True)
     scores[rows] = (1.0 - stay)[:, None] * (P[rows] @ previous) + stay[:, None] * previous[rows]
     sums = scores.sum(axis=1)

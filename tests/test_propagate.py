@@ -5,7 +5,9 @@ oracles check that form, as a run builds it, against the dense graph flap
 used to be built as: the Gaussian weights plus a diagonal of self-loops,
 assembled on their own.  The sparse product and the conjugate-gradient
 closure are checked against the dense row gathers and the dense solve they
-replaced (``dense_oracle``).
+replaced (``dense_oracle``), and a run's rounds, each at its learners'
+pooled stay, against the per-row weighted blend of learners that pooling
+replaced.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 
 import dense_oracle as oracle
 from dense_oracle import dense, graph_of, iteration_graph
+from hydent.data import SplitSpec, split, synth_noisy_gaussian
 from hydent.graph import Edges, flap_style_weights
 from hydent.propagate import (
     final_labels,
@@ -20,10 +23,9 @@ from hydent.propagate import (
     propagate_round,
     steady_state,
 )
-from hydent.run import RunConfig, _build_graphs
+from hydent.run import RunConfig, _build_graphs, run_hydent
 
 SWAP = graph_of([[0.0, 1.0], [1.0, 0.0]])
-ONE_GAUSSIAN = np.zeros((1, 2))
 
 
 def random_graph(rng, n):
@@ -64,10 +66,9 @@ def test_propagate_round_two_node_adoption():
         initial,
         SWAP,
         curriculum=np.array([1]),
-        weights=np.array([[1.0]]),
+        stay=np.zeros(2),
         learned=np.array([], dtype=int),
         initial=initial,
-        stays=ONE_GAUSSIAN,
     )
     np.testing.assert_allclose(F[1], [1.0, 0.0])
     np.testing.assert_array_equal(F[0], initial[0])
@@ -81,60 +82,50 @@ def test_propagate_round_untouched_rows_keep_initial_bits():
         initial,
         p,
         curriculum=np.array([2]),
-        weights=np.array([[1.0]]),
+        stay=np.zeros(5),
         learned=np.array([], dtype=int),
         initial=initial,
-        stays=np.zeros((1, 5)),
     )
     # frozen rows must be exactly the initial values, not merely close
     for frozen in (0, 1, 3, 4):
         assert np.array_equal(F[frozen], initial[frozen])
 
 
-# node 2 hangs off node 0; the first learner moves it there, the second
-# (stay 1) keeps its own row
+# node 2 hangs off node 0: at stay 0 it moves there, at stay 1 it keeps its own row
 PULL = iteration_graph([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-MOVE_AND_STAY = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-
-
-def test_propagate_round_weights_blend_learners():
-    initial = init_labels(np.array([0, 1, -1]), 2)
-    F = propagate_round(
-        initial,
-        PULL,
-        curriculum=np.array([2]),
-        weights=np.array([[0.25, 0.75]]),
-        learned=np.array([], dtype=int),
-        initial=initial,
-        stays=MOVE_AND_STAY,
-    )
-    # 0.25 of node 0's row (1,0) plus 0.75 of node 2's own prior (1/2,1/2)
-    np.testing.assert_allclose(F[2], [0.625, 0.375])
 
 
 def test_propagate_round_learned_rows_average_uniformly():
+    # two learners, one moving every row and one keeping it, pooled into their mean stay
     initial = init_labels(np.array([0, 1, -1]), 2)
     F = propagate_round(
         initial,
         PULL,
         curriculum=np.array([], dtype=int),
-        weights=np.empty((0, 2)),
+        stay=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]).mean(axis=0),
         learned=np.array([2]),
         initial=initial,
-        stays=MOVE_AND_STAY,
     )
+    # half of node 0's row (1,0) plus half of node 2's own prior (1/2,1/2)
     np.testing.assert_allclose(F[2], [0.75, 0.25])
 
 
 def test_propagate_round_rejects_overlap():
     initial = init_labels(np.array([0, -1, -1]), 2)
-    p, stays = iteration_graph(np.eye(3)), np.zeros((1, 3))
+    p, stay = iteration_graph(np.eye(3)), np.zeros(3)
     with pytest.raises(ValueError, match="curriculum rows must not already be learned"):
-        propagate_round(initial, p, np.array([1]), np.array([[1.0]]), np.array([1]), initial, stays)
+        propagate_round(initial, p, np.array([1]), stay, np.array([1]), initial)
     with pytest.raises(ValueError, match="curriculum rows must not already be learned"):
-        propagate_round(initial, p, np.array([2, 1]), np.full((2, 1), 1.0), np.array([0, 1]), initial, stays)
-    with pytest.raises(ValueError, match="one weight row"):
-        propagate_round(initial, p, np.array([1]), np.array([[0.5, 0.5]]), np.array([2]), initial, stays)
+        propagate_round(initial, p, np.array([2, 1]), stay, np.array([0, 1]), initial)
+
+
+def test_propagate_round_rejects_a_stay_not_one_share_per_node():
+    # a stack of per-learner stays, or a share per active row, is not a stay vector
+    initial = init_labels(np.array([0, -1, -1]), 2)
+    p = iteration_graph(np.eye(3))
+    for stay in (np.zeros((2, 3)), np.zeros((1, 3)), np.zeros(1), np.zeros(4), 0.0):
+        with pytest.raises(ValueError, match=r"stay must hold one share per node, shape \(3,\)"):
+            propagate_round(initial, p, np.array([1]), stay, np.array([2]), initial)
 
 
 def test_propagate_round_row_sums_stay_one():
@@ -146,10 +137,9 @@ def test_propagate_round_row_sums_stay_one():
     initial = F.copy()
     learned = np.array([], dtype=int)
     p = random_graph(rng, n)
-    stays = np.vstack([np.zeros(n), rng.random(n)])
+    stay = rng.random(n)
     for batch in (np.array([2, 3, 4]), np.array([5, 6]), np.array([7, 8, 9, 10, 11])):
-        weights = rng.dirichlet(np.ones(2), size=batch.size)
-        F = propagate_round(F, p, batch, weights, learned, initial, stays)
+        F = propagate_round(F, p, batch, stay, learned, initial)
         learned = np.concatenate([learned, batch])
         np.testing.assert_allclose(F.sum(axis=1), 1.0, atol=1e-9)
 
@@ -237,14 +227,44 @@ def test_propagate_round_stays_match_the_per_learner_blend():
         stays = np.vstack([np.zeros(n), stay])
         learned = np.array([], dtype=int)
         for batch in np.array_split(rng.permutation(np.arange(2, n)), 4):
-            weights = rng.dirichlet(np.ones(2), size=batch.size)
+            weights = np.full((batch.size, 2), 0.5)
             learners = [iteration_of(plain), looped.iteration]
             expected = per_learner_blend(F, learners, batch, weights, learned, initial)
             dense_round = oracle.propagate_round(F, iteration_of(plain), batch, weights, learned, initial, stays)
-            F = propagate_round(F, plain, batch, weights, learned, initial, stays)
+            F = propagate_round(F, plain, batch, stays.mean(axis=0), learned, initial)
             np.testing.assert_allclose(F, expected, rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(F, dense_round, rtol=0.0, atol=1e-15)
             learned = np.concatenate([learned, batch])
+
+
+def test_pooled_rounds_replay_the_per_row_blend_at_uniform_weights():
+    # a run propagates every round at its learners' mean stay; replayed with
+    # the per-row weighted blend of learners that pooling replaced, every
+    # weight 1/learners, each round's scores come out bit for bit, in every
+    # kernel order (the blend 0.5 * 0 + 0.5 * a and the mean (0 + a) / 2 are
+    # one double, and for one learner both read a)
+    dataset = synth_noisy_gaussian(30, 1.0, seed=34)
+    labeled_idx, _ = split(dataset, SplitSpec(1, seed=34))
+    masked = np.full(dataset.n, -1)
+    masked[labeled_idx] = dataset.labels[labeled_idx]
+    for kernels in (("gaussian",), ("flap",), ("gaussian", "flap"), ("flap", "gaussian")):
+        config = RunConfig(kernels=kernels)
+        result = run_hydent(dataset, labeled_idx, config)
+        assert any(r.converged is not None for r in result.rounds), kernels  # some round ran a solve
+        graph, stays = _build_graphs(dataset.features, config)
+        F = initial = init_labels(masked, dataset.class_count)
+        learned = np.array([], dtype=int)
+        for record in result.rounds:
+            batch = record.curriculum
+            weights = np.full((batch.size, len(kernels)), 1.0 / len(kernels))
+            blended = np.zeros(graph.n)
+            blended[np.concatenate([learned, batch])] = oracle.blended_stay(batch, weights, learned, stays)
+            dense_round = oracle.propagate_round(F, iteration_of(graph), batch, weights, learned, initial, stays)
+            F = propagate_round(F, graph, batch, blended, learned, initial)
+            assert np.array_equal(F, record.scores), (kernels, record.index)
+            np.testing.assert_allclose(F, dense_round, rtol=0.0, atol=1e-15)
+            learned = np.concatenate([learned, batch])
+        np.testing.assert_array_equal(np.sort(learned), np.flatnonzero(masked < 0))
 
 
 THETAS = (0.0, 0.05, 0.5, 0.99, 0.9999)

@@ -315,6 +315,23 @@ def test_evaluate_rejects_indices_outside_the_predictions():
             evaluate(pred, pred, [bad])
 
 
+def test_fractional_indices_are_rejected():
+    # truncated, labeled + 0.7 once ran as the labeled set, and [0.9, 1.9] scored rows 0 and 1
+    dataset, labeled_idx, _, config = small_problem(seed=0, n=20)
+    shifted = labeled_idx + 0.7
+    for variant in ("hydent", "hybrid-no-teaching"):
+        with pytest.raises(ValueError, match=rf"labeled index {shifted[0]} is not a whole number"):
+            run_baseline(dataset, shifted, config, variant)
+    pred = np.array([0, 1, 1])
+    with pytest.raises(ValueError, match=r"unlabeled index 0\.9 is not a whole number"):
+        evaluate(pred, pred, [0.9, 1.9])
+    # whole floats still read as indices, and an empty list, a float array to numpy, as none
+    assert evaluate(pred, np.array([0, 1, 0]), [0.0, 2.0]) == 0.5
+    assert evaluate(pred, pred, []) == 1.0
+    as_floats = run_baseline(dataset, labeled_idx.astype(float), config, "hydent")
+    np.testing.assert_array_equal(as_floats.scores, run_baseline(dataset, labeled_idx, config, "hydent").scores)
+
+
 def test_evaluate_rejects_predictions_of_another_length():
     # one prediction short used to raise a bare IndexError, and one extra
     # prediction went unnoticed
@@ -620,7 +637,7 @@ def test_round_moved_tells_whether_the_solve_left_its_start(monkeypatch):
     assert all((r.moved is None) == (r.converged is None) for r in result.rounds)
     expected = []
     for r_list, s, solution in solves:
-        easiest, _ = hydent.teaching.extract_curriculum(hydent.teaching.easiest_start(r_list, s), s)
+        easiest = hydent.teaching.extract_curriculum(hydent.teaching.easiest_start(r_list, s), s)
         expected.append(set(solution.curriculum.tolist()) != set(easiest.tolist()))
     assert [r.moved for r in solved] == expected == [solution.moved for _, _, solution in solves]
     assert True in expected and False in expected
@@ -638,8 +655,7 @@ def test_round_moved_on_a_hand_built_solve(monkeypatch):
             curriculum = picks[:s][::-1].copy()
             if swap:
                 curriculum[0] = picks[s]
-            weights = np.full((s, len(r_list)), 1.0 / len(r_list))
-            return hydent.teaching.TeachingSolution((), curriculum, weights, np.zeros(1), True, swap)
+            return hydent.teaching.TeachingSolution((), curriculum, np.zeros(1), True, swap)
 
         monkeypatch.setattr(hydent.run, "bcd_solve", fake)
         result = run_hydent(dataset, labeled_idx, config)

@@ -234,6 +234,32 @@ def test_scoring_rejects_class_members_outside_the_graph(bad):
         teaching_matrix(make_teacher(chain_graph(5)), [2], {0: [0], 1: [1, bad]})
 
 
+@pytest.mark.parametrize("bad", [2.5, -0.5, np.nan, np.inf])
+def test_scoring_rejects_fractional_indices(bad):
+    # a float index was once truncated without a word: 2.5 scored node 2
+    teacher = make_teacher(chain_graph(5))
+    with pytest.raises(ValueError, match=rf"candidate index {bad} is not a whole number"):
+        teaching_matrix(teacher, [bad], {0: [0], 1: [4]})
+    with pytest.raises(ValueError, match=rf"class 1 index {bad} is not a whole number"):
+        teaching_matrix(teacher, [2], {0: [0], 1: [4, bad]})
+
+
+def test_scoring_rejects_a_repeated_candidate():
+    # [2, 2] once gave a 2 x 2 block whose two rows were both node 2
+    with pytest.raises(ValueError, match="candidate 2 is repeated"):
+        teaching_matrix(make_teacher(chain_graph(5)), [1, 2, 3, 2], {0: [0], 1: [4]})
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_gap_matrix_rejects_indices_outside_the_graph(bad):
+    # a candidate -1 once read node 4's penalty, and a member -1 averaged node 4 into its class
+    teacher = make_teacher(chain_graph(5))
+    with pytest.raises(ValueError, match=rf"candidate index {bad} is outside \[0, 5\)"):
+        gap_matrix(teacher, [bad], {0: [0], 1: [1]})
+    with pytest.raises(ValueError, match=rf"class 1 index {bad} is outside \[0, 5\)"):
+        gap_matrix(teacher, [2], {0: [0], 1: [1, bad]})
+
+
 def test_reliability_is_psd_and_symmetric():
     rng = np.random.default_rng(1)
     g = random_graph(rng, 20)

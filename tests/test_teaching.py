@@ -265,51 +265,33 @@ def test_wolfe_step_decreases_rosenbrock_like():
 
 def test_extract_curriculum_worked_example():
     blocks = [np.array([[0.9], [0.0], [0.4]]), np.array([[0.8], [0.0], [0.0]])]
-    positions, weights = extract_curriculum(blocks, 2)
-    np.testing.assert_array_equal(positions, [0, 2])
-    np.testing.assert_allclose(weights[0], [0.9 / 1.7, 0.8 / 1.7], atol=1e-3)
-    np.testing.assert_allclose(weights[1], [1.0, 0.0])
+    np.testing.assert_array_equal(extract_curriculum(blocks, 2), [0, 2])
 
 
 def test_extract_curriculum_shrinks_to_surviving_rows():
     blocks = [np.array([[0.9], [0.0], [0.0005]])]
-    positions, weights = extract_curriculum(blocks, 3)
-    np.testing.assert_array_equal(positions, [0])
-    np.testing.assert_allclose(weights, [[1.0]])
-
-
-def test_extract_curriculum_single_teacher_weights_are_one():
-    rng = np.random.default_rng(13)
-    blocks = [rng.random((6, 2)) + 0.1]
-    positions, weights = extract_curriculum(blocks, 4)
-    assert positions.shape == (4,)
-    np.testing.assert_allclose(weights, 1.0)
+    np.testing.assert_array_equal(extract_curriculum(blocks, 3), [0])
 
 
 def test_extract_curriculum_prefers_nonsparse_rows():
     blocks = [np.array([[0.5, 0.0], [0.3, 0.3], [0.0, 0.0]])]
-    positions, _ = extract_curriculum(blocks, 2)
     # row 1 has two surviving entries, row 0 only one
-    np.testing.assert_array_equal(positions, [1, 0])
+    np.testing.assert_array_equal(extract_curriculum(blocks, 2), [1, 0])
 
 
 def test_extract_curriculum_ranks_by_surviving_count_before_norm():
     # the count-first rule: a stacked row with two entries of 0.002, just above
     # CUTOFF, outranks a row holding one entry of 1.0
     blocks = [np.array([[1.0], [0.002], [0.0]]), np.array([[0.0], [0.002], [0.0]])]
-    positions, weights = extract_curriculum(blocks, 1)
-    np.testing.assert_array_equal(positions, [1])
-    np.testing.assert_allclose(weights, [[0.5, 0.5]])
-    positions, _ = extract_curriculum(blocks, 2)
-    np.testing.assert_array_equal(positions, [1, 0])
+    np.testing.assert_array_equal(extract_curriculum(blocks, 1), [1])
+    np.testing.assert_array_equal(extract_curriculum(blocks, 2), [1, 0])
 
 
 def test_extract_curriculum_all_zero_falls_back():
     blocks = [np.array([[1e-5], [3e-4]]), np.array([[2e-5], [1e-4]])]
-    with pytest.warns(UserWarning):
-        positions, weights = extract_curriculum(blocks, 1)
+    with pytest.warns(UserWarning, match="every selection entry fell below the threshold"):
+        positions = extract_curriculum(blocks, 1)
     np.testing.assert_array_equal(positions, [1])  # larger raw norm
-    np.testing.assert_allclose(weights, [[0.5, 0.5]])
 
 
 def test_bcd_solve_trace_monotone_and_converges():
@@ -323,7 +305,6 @@ def test_bcd_solve_trace_monotone_and_converges():
         assert np.all(np.diff(trace) <= 1e-10)
         assert len(trace) <= 301
         assert isinstance(sol, TeachingSolution)
-        np.testing.assert_allclose(sol.weights.sum(axis=1), 1.0, atol=1e-9)
         assert np.unique(sol.curriculum).size == sol.curriculum.size
 
 
@@ -425,7 +406,7 @@ def test_easiest_start_is_the_binary_optimum_for_identical_teachers():
                         best, best_rows = value, set(np.concatenate(picks).tolist())
                 start = easiest_start(r_list, s)
                 assert objective(start, r_list, beta0, beta1) == pytest.approx(best, rel=1e-12)
-                assert set(extract_curriculum(start, s)[0].tolist()) == best_rows
+                assert set(extract_curriculum(start, s).tolist()) == best_rows
 
 
 def test_bcd_solve_from_easiest_start_keeps_the_cheap_rows():
@@ -448,7 +429,6 @@ def test_bcd_solve_starts_from_the_easiest_start_by_default():
         np.testing.assert_array_equal(np.stack(default.blocks), np.stack(given.blocks))
         np.testing.assert_array_equal(default.objective_trace, given.objective_trace)
         np.testing.assert_array_equal(default.curriculum, given.curriculum)
-        np.testing.assert_array_equal(default.weights, given.weights)
         assert default.converged == given.converged
         assert default.moved == given.moved
 
@@ -470,7 +450,7 @@ def test_bcd_solve_moved_compares_sets_not_order():
     r = np.diag([5.0, 0.2, 6.0, 0.1, 7.0])
     init = np.zeros((1, 5, 2))
     init[0, 3, 0] = init[0, 1, 1] = 1.0
-    np.testing.assert_array_equal(extract_curriculum(init, 2)[0], [1, 3])
+    np.testing.assert_array_equal(extract_curriculum(init, 2), [1, 3])
     sol = bcd_solve([r], 100.0, 100.0, 2, init=init)
     np.testing.assert_array_equal(sol.curriculum, [3, 1])
     assert not sol.moved
@@ -535,15 +515,14 @@ def two_guard_solve(r_list, beta0, beta1, s, init=None):
             break
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hydent.teaching, "CUTOFF", 0.001)
-        curriculum, weights = extract_curriculum(blocks, s)
-        moved = set(curriculum.tolist()) != set(extract_curriculum(start, s)[0].tolist())
-    return TeachingSolution(tuple(blocks), curriculum, weights, np.asarray(trace), converged, moved)
+        curriculum = extract_curriculum(blocks, s)
+        moved = set(curriculum.tolist()) != set(extract_curriculum(start, s).tolist())
+    return TeachingSolution(tuple(blocks), curriculum, np.asarray(trace), converged, moved)
 
 
 def assert_same_solution(got, want):
     np.testing.assert_array_equal(np.stack(got.blocks), np.stack(want.blocks))
     np.testing.assert_array_equal(got.curriculum, want.curriculum)
-    np.testing.assert_array_equal(got.weights, want.weights)
     np.testing.assert_array_equal(got.objective_trace, want.objective_trace)
     assert got.converged == want.converged
     assert got.moved == want.moved
