@@ -3,8 +3,9 @@
 Every learner of a run propagates over one weighted k-nearest-neighbor
 graph, which is held as compressed sparse rows (CSR, see :class:`Edges`):
 about k edges per node, never an n x n array.  This module finds the kNN
-edges exactly by a sweep along one feature, which computes squared
-distances only between rows near each other in that order.  It puts
+edges exactly by a sweep along one feature, which compares only rows near
+each other in that order: a matrix product screens them, and each edge's
+squared distance is taken by direct differences on the centred features.  It puts
 Gaussian kernel weights on the edges, reads flap's self-loop weights off
 them, and precomputes the degree vector and the row-stochastic iteration
 matrix on the same edges.  Teachers read two dense inverses built from
@@ -23,20 +24,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Squared distances knn_pattern holds at a time: a chunk of rows of about
-# this many entries (at least two rows), so the n x n distances never exist.
+# Distance estimates knn_pattern holds at a time: a chunk of rows of about
+# this many entries (at least one row), so the n x n distances never exist.
 CHUNK_ENTRIES = 1 << 18
 
 # Rows knn_pattern's sweep takes per block.  Of 32 to 512, 128 was the best
 # balance: fastest at d = 5 and 10, within 10 % of the best at d = 2 (the
 # timings are in CHANGES.md).
 SWEEP_BLOCK = 128
-
-# The sweep's windows are whole multiples of this many columns.  OpenBLAS
-# (0.3, Haswell kernels) multiplies in panels of 8 columns and rounds the
-# entries of a ragged last panel differently, so an aligned window gives each
-# distance the bits a product over all n columns gives it (for n a multiple of 8).
-PANEL = 8
 
 # spd_inverse inverts a triangular block of at most this order directly and
 # splits a larger one in halves joined by matrix products.
@@ -124,55 +119,40 @@ class LearnerGraph:
         return self._spectrum[1]
 
 
-def _nearest(features: np.ndarray, norms: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int,
-             scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(features: np.ndarray, norms: np.ndarray, margin: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+             k: int, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each of ``rows``' k nearest among ``cols``: (their indices, their squared distances).
 
     ``cols`` ascends and holds every row of ``rows``, which is never its own
-    neighbor.  The squared distances ||xi||^2 + ||xj||^2 - 2 xi.xj, clamped
-    at zero, are computed at most ``CHUNK_ENTRIES`` at a time into the two
-    rows of ``scratch``, which every call reuses (freed temporaries had
-    their pages handed back and faulted in again on each call).  A lone
-    row is computed twice over: a one-row product takes BLAS's
-    matrix-vector path, which rounds differently.  The k nearest come from
-    a partition; when more than k lie at or below the k-th distance, the
-    tied ones go to the lowest indices, as a stable sort leaves them.
+    neighbor.  The estimates ||xi||^2 + ||xj||^2 - 2 xi.xj only screen the
+    columns; they are computed at most ``CHUNK_ENTRIES`` at a time into the
+    two rows of ``scratch``, which every call reuses (freed temporaries had
+    their pages handed back and faulted in again on each call).  Each
+    column within twice the row's ``margin`` of its k-th estimate gets its
+    squared distance by direct differences, sum((xi - xj)^2), and the k of
+    lowest (distance, index) are kept, as a stable sort keeps them.
     """
     window, window_norms = features[cols], norms[cols]
     near, dist = np.empty((rows.size, k), dtype=np.intp), np.empty((rows.size, k))
-    per_chunk = max(2, CHUNK_ENTRIES // cols.size)
+    per_chunk = max(1, CHUNK_ENTRIES // cols.size)
     for first in range(0, rows.size, per_chunk):
         part = slice(first, first + per_chunk)
-        chunk = rows[part] if rows.size - first > 1 else rows[[first, first]]
+        chunk = rows[part]
         size, shape = chunk.size * cols.size, (chunk.size, cols.size)
-        sq = np.add(norms[chunk, None], window_norms[None, :], out=scratch[0, :size].reshape(shape))
-        sq -= np.matmul(2.0 * features[chunk], window.T, out=scratch[1, :size].reshape(shape))
-        np.maximum(sq, 0.0, out=sq)
-        sq[np.arange(chunk.size), np.searchsorted(cols, chunk)] = np.inf
-        # the k nearest, then the next one: a row is crowded when that one ties the k-th
-        partition = np.argpartition(sq, k, axis=1)
-        picked = partition[:, :k]
-        kth = np.take_along_axis(sq, picked, axis=1).max(axis=1, keepdims=True)
-        crowded = np.flatnonzero(np.take_along_axis(sq, partition[:, k:k + 1], axis=1) <= kth)
-        if crowded.size:
-            crowd = sq[crowded]
-            below, tied = crowd < kth[crowded], crowd == kth[crowded]
-            room = k - below.sum(axis=1, keepdims=True)
-            picked[crowded] = np.nonzero(below | (tied & (np.cumsum(tied, axis=1) <= room)))[1].reshape(-1, k)
-        last = min(rows.size - first, per_chunk)
-        near[part] = cols[picked[:last]]
-        dist[part] = np.take_along_axis(sq, picked, axis=1)[:last]
+        estimate = np.add(norms[chunk, None], window_norms[None, :], out=scratch[0, :size].reshape(shape))
+        estimate -= np.matmul(2.0 * features[chunk], window.T, out=scratch[1, :size].reshape(shape))
+        estimate[np.arange(chunk.size), np.searchsorted(cols, chunk)] = np.inf
+        kth = np.partition(estimate, k - 1, axis=1)[:, k - 1]
+        # flat, as a 2-D np.nonzero took several times as long
+        row, col = np.divmod(np.flatnonzero(estimate <= (kth + 2.0 * margin[chunk])[:, None]), cols.size)
+        sq = np.square(features[chunk[row]] - window[col]).sum(axis=1)
+        # the candidates come by row, then column, so a stable sort on (row, distance)
+        # ranks each row's equal distances by index
+        ranked = np.lexsort((sq, row))
+        counts = np.bincount(row, minlength=chunk.size)
+        picked = ranked[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        near[part], dist[part] = cols[col[picked]], sq[picked]
     return near, dist
-
-
-def _window(lo: int, hi: int, n: int) -> tuple[int, int]:
-    """Sorted positions [lo, hi) clipped to [0, n), widened to whole ``PANEL``s; all n past n / 2."""
-    lo, hi = max(0, lo), min(n, hi)
-    width = -(-(hi - lo) // PANEL) * PANEL
-    if width > n // 2:
-        return 0, n
-    hi = min(n, lo + width)
-    return hi - width, hi
 
 
 def knn_pattern(features: np.ndarray, k: int) -> Edges:
@@ -181,21 +161,25 @@ def knn_pattern(features: np.ndarray, k: int) -> Edges:
     An edge {i, j} exists when j is among i's k nearest neighbors or vice
     versa (union symmetrization).  Distance ties are broken toward the
     lower index; self-edges are never part of the pattern.  The result is
-    that of a brute-force search over all n^2 squared distances
-    ||xi||^2 + ||xj||^2 - 2 xi.xj, but most are never computed.
+    that of a stable sort of all n^2 squared distances sum((xi - xj)^2) of
+    the centred features (each column's mean subtracted), but most are
+    never computed.  Both ends of an edge hold the same bits, and a shift
+    of the input changes only how the centring rounds.
 
     A sweep along the feature of widest range (projection search:
     Friedman, Baskett & Shustek, IEEE Trans. Computers 1975) takes the
     rows in that order, in blocks of ``SWEEP_BLOCK``, and compares each
-    block only with a window of the rows around it in the same order.  A
-    row's k nearest in the window are final once its k-th distance, plus a
-    rounding margin, is below the squared axis gap to the nearest row
-    outside the window.  The other rows widen their window, at least
-    doubling it.  A window past half the rows takes all of them and is
-    final by definition, so the loop always ends, and brute force is its
-    limit case.  Each block starts from the window half its predecessor's
-    rows needed, so input whose rows need wide windows (high d) runs as
-    brute force, in chunks of at most ``CHUNK_ENTRIES`` squared distances.
+    block only with a window of the rows around it in the same order, which
+    the product form ||xi||^2 + ||xj||^2 - 2 xi.xj screens for the columns
+    whose distance is taken.  A row's k nearest in the window are final
+    once its k-th distance, plus a rounding margin, is below the squared
+    axis gap to the nearest row outside the window.  The other rows widen
+    their window, at least doubling it.  A window past half the rows takes
+    all of them and is final by definition, so the loop always ends, and
+    brute force is its limit case.  Each block starts from the window half
+    its predecessor's rows needed, so input whose rows need wide windows
+    (high d) runs as brute force, in chunks of at most ``CHUNK_ENTRIES``
+    estimates.
 
     Fails on input that is not a 2-D array of finite values whose squared
     norms are finite.
@@ -215,18 +199,24 @@ def knn_pattern(features: np.ndarray, k: int) -> Edges:
     norms = np.einsum("ij,ij->i", features, features)
     if not np.isfinite(norms).all():
         raise ValueError(f"row {np.argmin(np.isfinite(norms))}: squared norm overflows; rescale the features")
+    features = features - features.mean(axis=0)
+    norms = np.einsum("ij,ij->i", features, features)
     axis = int(np.argmax(np.ptp(features, axis=0)))
     order = np.argsort(features[:, axis], kind="stable")
     keys = features[order, axis]
-    # over twice the bound (2d + 3) eps (||xi||^2 + ||xj||^2) on how far a
-    # computed squared distance can fall below the exact one, for every j at once
+    # Over twice the bound (2d + 3) eps (||xi||^2 + ||xj||^2) on how far an estimate can
+    # fall from the exact squared distance, for every j at once; a direct distance is
+    # within half a margin of it too.  So _nearest's screen is safe, as the k-th direct
+    # distance is at most a margin above the k-th estimate, and so is the finality test:
+    # an outside row's exact distance is at least the squared gap, so its direct one
+    # exceeds the k-th inside once that plus a margin is below the gap squared.
     eps = np.finfo(float).eps
-    margin = 4 * (d + 2) * eps * (norms[order] + norms.max())
+    margin = 4 * (d + 2) * eps * (norms + norms.max())
     # keys[lo - 1] and keys[hi], the nearest keys outside a window [lo, hi), as fence[lo] and
     # fence[hi + 1]: a window reaching an end of the order has nothing beyond it
     fence = np.concatenate([[-np.inf], keys, [np.inf]])
     near, dist = np.empty((n, k), dtype=np.intp), np.empty((n, k))
-    scratch = np.empty((2, min(max(CHUNK_ENTRIES, 2 * n), n * n)))
+    scratch = np.empty((2, min(max(CHUNK_ENTRIES, n), n * n)))
     stop, reach = 0, max(k, SWEEP_BLOCK // 2)
     while stop < n:
         if SWEEP_BLOCK + 2 * reach > n // 2:
@@ -234,15 +224,17 @@ def knn_pattern(features: np.ndarray, k: int) -> Edges:
             size = max(SWEEP_BLOCK, CHUNK_ENTRIES // n)
         else:
             # fewer rows when the window is wide, so one product holds the block
-            size = max(2, min(SWEEP_BLOCK, CHUNK_ENTRIES // (SWEEP_BLOCK + 2 * reach)))
+            size = max(1, min(SWEEP_BLOCK, CHUNK_ENTRIES // (SWEEP_BLOCK + 2 * reach)))
         pending = np.arange(stop, min(n, stop + size))
         stop = pending[-1] + 1
         needed = []
         while pending.size:
-            lo, hi = _window(pending[0] - reach, pending[-1] + 1 + reach, n)
+            lo, hi = max(0, pending[0] - reach), min(n, pending[-1] + 1 + reach)
+            if hi - lo > n // 2:
+                lo, hi = 0, n
             cols = np.sort(order[lo:hi]) if hi - lo < n else np.arange(n)
-            picked, sq = _nearest(features, norms, order[pending], cols, k, scratch)
-            bound = sq.max(axis=1) + margin[pending]
+            picked, sq = _nearest(features, norms, margin, order[pending], cols, k, scratch)
+            bound = sq.max(axis=1) + margin[order[pending]]
             centre = keys[pending]
             gap = np.minimum(centre - fence[lo], fence[hi + 1] - centre)
             # the gap's own rounding is covered by a relative slack of 8 eps; a
@@ -264,14 +256,10 @@ def knn_pattern(features: np.ndarray, k: int) -> Edges:
         # the next block starts from the reach half of this block's rows needed
         needed = np.sort(np.concatenate(needed))
         reach = max(k, int(needed[needed.size // 2]))
-    rows, cols, sq = np.repeat(np.arange(n), k), near.ravel(), dist.ravel()
-    codes = np.concatenate([rows * n + cols, cols * n + rows])
-    # stable, so an edge both ends picked keeps the distance its own row computed
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    first = np.concatenate([[True], codes[1:] != codes[:-1]])
-    codes = codes[first]
-    return _edges(n, codes // n, codes % n, np.concatenate([sq, sq])[order][first])
+    rows, cols = np.repeat(np.arange(n), k), near.ravel()
+    # both ends of an edge picked by both hold the same distance, so either copy serves
+    codes, first = np.unique(np.concatenate([rows * n + cols, cols * n + rows]), return_index=True)
+    return _edges(n, codes // n, codes % n, dist.ravel()[first % dist.size])
 
 
 def gaussian_weights(distances: Edges, sigma: float) -> Edges:
@@ -301,12 +289,16 @@ def gaussian_weights(distances: Edges, sigma: float) -> Edges:
 def flap_style_weights(weights: Edges) -> np.ndarray:
     """Flap's self-loop on each node: the strongest weight in its row of ``weights``.
 
-    Every row of ``weights`` needs an edge, as :func:`assemble` requires.
-    With loops s added, row i's iteration matrix is (1 - a_i) P_i + a_i e_i,
-    a = s / (degree + s): flap is the Gaussian learner keeping the share a
-    of its own scores, so a run builds no looped copy of the graph.
+    Every row of ``weights`` needs an edge, as :func:`assemble` requires;
+    a row without one is an error that names it.  With loops s added, row
+    i's iteration matrix is (1 - a_i) P_i + a_i e_i, a = s / (degree + s):
+    flap is the Gaussian learner keeping the share a of its own scores, so
+    a run builds no looped copy of the graph.
     """
     indptr, _, values = weights
+    empty = np.flatnonzero(np.diff(indptr) == 0)
+    if empty.size:
+        raise ValueError(f"node {empty[0]} has no edges, so flap has no strongest weight for it")
     return np.maximum.reduceat(np.asarray(values, dtype=float), indptr[:-1])
 
 
@@ -316,8 +308,8 @@ def assemble(weights: Edges) -> LearnerGraph:
     Self-loops count in the degree and the iteration matrix but stay out of
     the Laplacian, which is built from the off-diagonal weights alone.
 
-    Fails unless W is square, symmetric to 1e-12 * max(1, |W_ij|) and
-    nonnegative, and on a zero-degree row: an isolated node can never
+    Fails unless W is square, symmetric to 1e-12 * max(1, |W_ij|), finite
+    and nonnegative, and on a zero-degree row: an isolated node can never
     receive label mass, which makes the iteration matrix undefined.
     """
     indptr, indices, values = weights
@@ -341,6 +333,11 @@ def assemble(weights: Edges) -> LearnerGraph:
         # the tolerance of either orientation, as a dense |W - W.T| test applies both
         if np.any(np.abs(values - mirror) > 1e-12 * np.maximum(1.0, np.minimum(np.abs(values), np.abs(mirror)))):
             raise ValueError("adjacency must be symmetric")
+    # after the symmetry test, which rejects an inf facing a finite mirror as asymmetric
+    finite = np.isfinite(values)
+    if not finite.all():
+        edge = int(np.argmin(finite))
+        raise ValueError(f"edge ({rows[edge]}, {indices[edge]}): non-finite weight {values[edge]}")
     if np.any(values < 0):
         raise ValueError("adjacency must be nonnegative")
     degree = np.bincount(rows, weights=values, minlength=n)

@@ -45,7 +45,7 @@ def init_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
 def propagate_round(previous, graph, curriculum, stay, learned, initial):
     """One synchronous refresh of the active rows over ``graph``'s iteration matrix P.
 
-    ``stay`` holds one share per node.  Each ``curriculum`` row and each
+    ``stay`` holds one share per node, in [0, 1).  Each ``curriculum`` row and each
     ``learned`` row (from earlier rounds) becomes (1 - a) (P F)[row] +
     a F[row] at its share a: the update of the learner with stay vector
     ``stay``, and, as that update is affine in a, the uniform blend of
@@ -60,6 +60,8 @@ def propagate_round(previous, graph, curriculum, stay, learned, initial):
     stay = np.asarray(stay, dtype=float)
     if stay.shape != previous.shape[:1]:
         raise ValueError(f"stay must hold one share per node, shape ({previous.shape[0]},), not {stay.shape}")
+    if not np.all((stay >= 0.0) & (stay < 1.0)):
+        raise ValueError("stay shares must lie in [0, 1)")
     if curriculum.size and learned.size:
         seen = np.zeros(previous.shape[0], dtype=bool)
         seen[learned] = True

@@ -57,11 +57,10 @@ def iteration_graph(P) -> LearnerGraph:
 
 
 def squared_distances(features: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clamped at zero."""
+    """Pairwise squared Euclidean distances sum((xi - xj)^2) of the centred features, by direct differences."""
     features = np.asarray(features, dtype=float)
-    norms = np.einsum("ij,ij->i", features, features)
-    sq = norms[:, None] + norms[None, :] - 2.0 * features @ features.T
-    return np.maximum(sq, 0.0)
+    features = features - features.mean(axis=0)
+    return np.square(features[:, None, :] - features[None, :, :]).sum(axis=-1)
 
 
 def knn_pattern(sq: np.ndarray, k: int) -> np.ndarray:

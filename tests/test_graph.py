@@ -114,36 +114,47 @@ def knn_cases():
     yield "grid ties", grid[rng.permutation(grid.shape[0])], 5
     yield "grid ties d=3", rng.integers(0, 3, size=(50, 3)).astype(float), 6
     yield "d=5", rng.normal(size=(80, 5)), 5
+    # from 8 columns on, numpy adds a distance's squares in eight interleaved partial sums
+    yield "d=17", rng.normal(size=(60, 17)), 4
 
 
 SWEEPS = [
-    pytest.param(hydent.graph.CHUNK_ENTRIES, hydent.graph.SWEEP_BLOCK, hydent.graph.PANEL, id="262144"),
+    pytest.param(hydent.graph.CHUNK_ENTRIES, hydent.graph.SWEEP_BLOCK, id="262144"),
     # 230 entries give chunks of a few rows, none a multiple of n
-    pytest.param(230, hydent.graph.SWEEP_BLOCK, hydent.graph.PANEL, id="230"),
+    pytest.param(230, hydent.graph.SWEEP_BLOCK, id="230"),
     # blocks of a few rows in windows narrower than n, doubling until final
-    pytest.param(hydent.graph.CHUNK_ENTRIES, 2, hydent.graph.PANEL, id="block2"),
-    pytest.param(hydent.graph.CHUNK_ENTRIES, 5, 1, id="block5-panel1"),
-    pytest.param(230, 3, 1, id="block3-panel1-230"),
+    pytest.param(hydent.graph.CHUNK_ENTRIES, 2, id="block2"),
+    pytest.param(hydent.graph.CHUNK_ENTRIES, 5, id="block5"),
+    pytest.param(230, 3, id="block3-230"),
 ]
 
 
 def check_against_the_dense_stable_sort(name, x, k):
-    """knn_pattern's edges are the stable-sort oracle's, in CSR rows, with the dense distances."""
+    """knn_pattern's edges are the stable-sort oracle's, in CSR rows, with the oracle's distances bit for bit."""
     edges = knn_pattern(x, k)
-    expected = oracle.knn_pattern(oracle.squared_distances(x), k)
+    sq = oracle.squared_distances(x)
+    expected = oracle.knn_pattern(sq, k)
     np.testing.assert_array_equal(pattern_of(edges), expected, err_msg=name)
     # CSR rows: columns ascending within each row, no self-edges
     rows = np.repeat(np.arange(x.shape[0]), np.diff(edges.indptr))
     assert np.all(np.diff(rows * x.shape[0] + edges.indices) > 0), name
-    np.testing.assert_allclose(dense(edges)[expected], oracle.squared_distances(x)[expected],
-                               rtol=0.0, atol=1e-13, err_msg=name)
+    np.testing.assert_array_equal(dense(edges)[expected], sq[expected], err_msg=name)
 
 
-@pytest.mark.parametrize("chunk_entries, sweep_block, panel", SWEEPS)
-def test_knn_pattern_matches_the_dense_stable_sort(monkeypatch, chunk_entries, sweep_block, panel):
+def check_brute_force_equals_the_sweep(monkeypatch, x, k):
+    """Blocks so wide that every window holds all rows (brute force, the sweep's limit case) give the same edges, bit for bit."""
+    swept = knn_pattern(x, k)
+    with monkeypatch.context() as patch:
+        patch.setattr(hydent.graph, "SWEEP_BLOCK", x.shape[0])
+        brute = knn_pattern(x, k)
+    for got, want in zip(swept, brute):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("chunk_entries, sweep_block", SWEEPS)
+def test_knn_pattern_matches_the_dense_stable_sort(monkeypatch, chunk_entries, sweep_block):
     monkeypatch.setattr(hydent.graph, "CHUNK_ENTRIES", chunk_entries)
     monkeypatch.setattr(hydent.graph, "SWEEP_BLOCK", sweep_block)
-    monkeypatch.setattr(hydent.graph, "PANEL", panel)
     for name, x, k in knn_cases():
         check_against_the_dense_stable_sort(name, x, k)
 
@@ -153,9 +164,9 @@ def spy_on_windows(monkeypatch):
     calls = []
     nearest = hydent.graph._nearest
 
-    def spy(features, norms, rows, cols, k, scratch):
+    def spy(features, norms, margin, rows, cols, k, scratch):
         calls.append((rows.copy(), cols.size))
-        return nearest(features, norms, rows, cols, k, scratch)
+        return nearest(features, norms, margin, rows, cols, k, scratch)
 
     monkeypatch.setattr(hydent.graph, "_nearest", spy)
     return calls
@@ -174,7 +185,7 @@ def long_cases():
 def test_knn_pattern_sweep_takes_every_path(monkeypatch):
     # blocks of two rows: on each input some windows are narrower than n,
     # some rows are not final in their first window and are computed again in
-    # a wider one, and a lone pending row is padded to a product of two rows;
+    # a wider one, and a lone pending row makes a product of one row;
     # on knn_cases the sweep also reaches windows of all n rows
     monkeypatch.setattr(hydent.graph, "SWEEP_BLOCK", 2)
     calls = spy_on_windows(monkeypatch)
@@ -195,13 +206,24 @@ def test_knn_pattern_sweep_takes_every_path(monkeypatch):
 def test_knn_pattern_matches_the_dense_stable_sort_at_n2000(monkeypatch, covariance):
     x = synth_noisy_gaussian(1000, covariance, seed=7).features
     check_against_the_dense_stable_sort(f"covariance {covariance}", x, 5)
-    # brute force, the sweep's limit case: blocks so wide that every window
-    # holds all rows give the same edges, bit for bit (windows are aligned to PANEL)
-    swept = knn_pattern(x, 5)
-    monkeypatch.setattr(hydent.graph, "SWEEP_BLOCK", x.shape[0])
-    brute = knn_pattern(x, 5)
-    for got, want in zip(swept, brute):
-        np.testing.assert_array_equal(got, want)
+    check_brute_force_equals_the_sweep(monkeypatch, x, 5)
+
+
+@pytest.mark.parametrize("half", [502, 503])
+def test_knn_pattern_matches_the_dense_stable_sort_at_n1004_and_n1006(monkeypatch, half):
+    # widths where a product's last columns once rounded apart from the rest
+    x = synth_noisy_gaussian(half, 1.0, seed=1).features
+    check_against_the_dense_stable_sort(f"n = {2 * half}", x, 5)
+    check_brute_force_equals_the_sweep(monkeypatch, x, 5)
+
+
+def test_knn_pattern_ignores_a_shift_of_the_features():
+    # far from the origin the product form cancels; distances taken on the
+    # centred features pick the same edges as for the unshifted input
+    x = synth_noisy_gaussian(1000, 1.0, seed=1).features
+    edges, shifted = knn_pattern(x, 5), knn_pattern(x + 1e7, 5)
+    np.testing.assert_array_equal(shifted.indptr, edges.indptr)
+    np.testing.assert_array_equal(shifted.indices, edges.indices)
 
 
 def test_knn_pattern_computes_a_fraction_of_the_distances(monkeypatch):
@@ -321,6 +343,12 @@ def test_flap_weights_symmetric():
     assert np.all(np.diag(W) > 0)
 
 
+def test_flap_weights_reject_a_row_without_edges():
+    # reduceat would hand row 1 the next row's weight
+    with pytest.raises(ValueError, match="node 1 has no edges"):
+        flap_style_weights(Edges(np.array([0, 1, 1, 2]), np.array([2, 0]), np.array([0.5, 0.5])))
+
+
 def test_assemble_two_node_graph():
     g = graph_of([[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_allclose(g.laplacian, [[1.0, -1.0], [-1.0, 1.0]])
@@ -393,6 +421,16 @@ def test_assemble_rejects_bad_adjacency():
         graph_of(np.array([[0.0, w], [w + inside, 0.0]]))
         with pytest.raises(ValueError, match="symmetric"):
             graph_of(np.array([[0.0, w], [w + 4.0 * inside, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assemble_rejects_non_finite_weights(bad):
+    # a symmetric pair passes the symmetry test, and would leave degree and
+    # iteration non-finite
+    W = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+    W[1, 2] = W[2, 1] = bad
+    with pytest.raises(ValueError, match=r"edge \(1, 2\): non-finite weight"):
+        graph_of(W)
 
 
 def test_assemble_symmetry_check_matches_dense_tolerance():

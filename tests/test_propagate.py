@@ -128,6 +128,14 @@ def test_propagate_round_rejects_a_stay_not_one_share_per_node():
             propagate_round(initial, p, np.array([1]), stay, np.array([2]), initial)
 
 
+@pytest.mark.parametrize("share", [3.0, 1.0, -0.5, np.nan])
+def test_propagate_round_rejects_stay_shares_outside_the_unit_interval(share):
+    # a stay of 3.0 would give node 1 a score of 3 * 0.5 - 2 * 1 < 0
+    initial = init_labels(np.array([0, -1]), 2)
+    with pytest.raises(ValueError, match=r"stay shares must lie in \[0, 1\)"):
+        propagate_round(initial, SWAP, np.array([1]), np.array([0.0, share]), np.array([], dtype=int), initial)
+
+
 def test_propagate_round_row_sums_stay_one():
     rng = np.random.default_rng(22)
     n = 12
