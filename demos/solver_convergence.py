@@ -66,11 +66,10 @@ def main():
     assert np.all(np.diff(trace) <= 1e-10), "descent broken"
 
     chosen = candidates[solution.curriculum]
-    taught = chosen.size  # thresholding may shrink the batch below s
-    naive = candidates[np.argsort(np.mean([np.diag(r) for r in r_list], axis=0))[:taught]]
+    naive = candidates[np.argsort(np.mean([np.diag(r) for r in r_list], axis=0))[:s]]
     overlap = np.intersect1d(chosen, naive).size
-    print(f"\ncurriculum {np.sort(chosen)} ({taught} of {s} requested survived)")
-    print(f"smallest-diagonal pick would share {overlap}/{taught} members")
+    print(f"\ncurriculum {np.sort(chosen)} (the {s} rows of largest stacked norm)")
+    print(f"smallest-diagonal pick would share {overlap}/{s} members")
     random_start = np.random.default_rng(0).random((len(r_list), candidates.size, s))
     drawn = candidates[bcd_solve(r_list, config.beta0, config.beta1, s, init=random_start).curriculum]
     print(f"from a random start the solve keeps {np.intersect1d(drawn, naive).size}/{drawn.size} "

@@ -26,8 +26,8 @@ def feedback_value(scores: np.ndarray, class_count: int, gamma: float = 0.5) -> 
         raise ValueError("need a nonempty matrix of learned rows")
     if class_count < 2:
         raise ValueError("need at least two classes")
-    if scores.min() < 0.0:
-        raise ValueError("scores must be nonnegative")
+    if not np.all(np.isfinite(scores)) or scores.min() < 0.0:
+        raise ValueError("scores must be finite and nonnegative")
     positive = scores > 0.0
     inner = np.zeros_like(scores)
     inner[positive] = scores[positive] * np.log(scores[positive])

@@ -42,6 +42,16 @@ def init_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
     return scores
 
 
+def _stay_shares(stay, n: int) -> np.ndarray:
+    """``stay`` as floats, checked to hold one share in [0, 1) per node (NaN fails)."""
+    stay = np.asarray(stay, dtype=float)
+    if stay.shape != (n,):
+        raise ValueError(f"stay must hold one share per node, shape ({n},), not {stay.shape}")
+    if not np.all((stay >= 0.0) & (stay < 1.0)):
+        raise ValueError("stay shares must lie in [0, 1)")
+    return stay
+
+
 def propagate_round(previous, graph, curriculum, stay, learned, initial):
     """One synchronous refresh of the active rows over ``graph``'s iteration matrix P.
 
@@ -57,11 +67,7 @@ def propagate_round(previous, graph, curriculum, stay, learned, initial):
     previous = np.asarray(previous, dtype=float)
     curriculum = np.asarray(curriculum, dtype=int)
     learned = np.asarray(learned, dtype=int)
-    stay = np.asarray(stay, dtype=float)
-    if stay.shape != previous.shape[:1]:
-        raise ValueError(f"stay must hold one share per node, shape ({previous.shape[0]},), not {stay.shape}")
-    if not np.all((stay >= 0.0) & (stay < 1.0)):
-        raise ValueError("stay shares must lie in [0, 1)")
+    stay = _stay_shares(stay, previous.shape[0])
     if curriculum.size and learned.size:
         seen = np.zeros(previous.shape[0], dtype=bool)
         seen[learned] = True
@@ -96,10 +102,10 @@ def steady_state(graph: LearnerGraph, scores: np.ndarray, theta: float, stay: np
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
-    stay = np.asarray(stay, dtype=float)
-    if np.any(stay < 0.0) or np.any(stay >= 1.0):
-        raise ValueError("stay shares must lie in [0, 1)")
+    stay = _stay_shares(stay, graph.n)
     scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 2 or scores.shape[0] != graph.n:
+        raise ValueError(f"scores must hold one row per node, {graph.n} rows, not shape {scores.shape}")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     scale = graph.degree / (1.0 - stay)

@@ -63,6 +63,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a list runs alike but would leave the config unhashable and unequal to its tuple twin
+        object.__setattr__(self, "kernels", tuple(self.kernels))
         if not self.kernels:
             raise ValueError("need at least one learner kernel")
         for at, kernel in enumerate(self.kernels):

@@ -4,9 +4,10 @@ Every teacher m scores its candidate pool with a symmetric matrix R(m); a
 relaxed binary selection matrix S(m) of shape (pool size, curriculum size)
 encodes which candidates that teacher picks.  The joint objective couples
 the per-teacher scores tr(S'RS) with a row-sparsity term on the stacked
-matrix (S(1), ..., S(M)), so a candidate whose whole stacked row is driven
-to zero is one that every teacher agrees is difficult, plus penalties
-pushing each S toward binary, orthogonal-column matrices.
+matrix (S(1), ..., S(M)), plus penalties pushing each S toward binary,
+orthogonal-column matrices.  The curriculum is the rows of largest stacked
+2-norm: a candidate whose whole stacked row is driven to zero is one that
+every teacher agrees is difficult.
 
 The solver holds the M blocks as one (M, b, s) array.  Each sweep refreshes
 the row-norm weights, which majorize the row-sparsity term and decouple the
@@ -36,7 +37,6 @@ import numpy as np
 ZETA = 1e-8  # offset in the row-norm weights 1 / (2 ||row|| + ZETA); keeps zero rows finite
 EPSILON = 1e-4  # a sweep moving the stack less than this (Frobenius norm) ends the solve
 SWEEP_CAP = 300  # sweeps a solve may take before it stops unconverged
-CUTOFF = 0.001  # selection entries below this magnitude count as zero in the curriculum
 
 
 def l21_norm(matrix: np.ndarray) -> float:
@@ -172,27 +172,13 @@ def exact_step(coefficients) -> np.ndarray:
 
 
 def extract_curriculum(blocks, s: int) -> np.ndarray:
-    """Pick the curriculum rows out of a solution.
+    """The curriculum: the ``min(s, b)`` rows of largest 2-norm in the stacked matrix.
 
-    Entries below ``CUTOFF`` in magnitude are zeroed; rows are ranked by
-    surviving-entry count, then row norm, then candidate index, and the top
-    ``s`` (or fewer, if thresholding left fewer nonzero rows) become the
-    curriculum.  Returns their positions in the candidate pool, in rank
-    order.
+    Returns their positions in the candidate pool, in rank order; ties go
+    to the lower position.
     """
-    stacked = np.hstack(blocks)
-    b = stacked.shape[0]
-    want = min(s, b)
-
-    kept = np.where(np.abs(stacked) >= CUTOFF, stacked, 0.0)
-    counts = (kept != 0.0).sum(axis=1)
-    if not counts.any():
-        warnings.warn("every selection entry fell below the threshold; ranking by raw row norms")
-        return np.lexsort((np.arange(b), -np.linalg.norm(stacked, axis=1)))[:want]
-
-    norms = np.linalg.norm(kept, axis=1)
-    order = np.lexsort((np.arange(b), -norms, -counts))
-    return order[: min(want, int((counts > 0).sum()))]
+    norms = np.linalg.norm(np.hstack(blocks), axis=1)
+    return np.argsort(-norms, kind="stable")[:s]
 
 
 def easiest_start(r_list, s: int) -> np.ndarray:
@@ -216,10 +202,11 @@ def easiest_start(r_list, s: int) -> np.ndarray:
 class TeachingSolution:
     """Outcome of one joint curriculum optimization.
 
-    ``curriculum`` holds candidate-pool positions in rank order.  The
-    objective trace has one entry per sweep plus the starting value.
-    ``moved`` tells whether the curriculum differs, as a set, from the one
-    the solve's start (``init`` or :func:`easiest_start`) reads as.
+    ``curriculum`` holds the ``min(s, b)`` candidate-pool positions of
+    largest stacked row norm, in rank order.  The objective trace has one
+    entry per sweep plus the starting value.  ``moved`` tells whether the
+    curriculum differs, as a set, from the one the solve's start (``init``
+    or :func:`easiest_start`) reads as.
     """
 
     blocks: tuple
@@ -244,8 +231,11 @@ def bcd_solve(r_list, beta0: float, beta1: float, s: int, *, init=None) -> Teach
 
     The solve starts from ``init``, an (M, b, s) stack or a sequence of
     (b, s) blocks, when given, and from :func:`easiest_start` otherwise.
+    ``s`` is a positive integer, clamped to the pool size b.
     """
     r = _scores(r_list)
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+        raise ValueError(f"curriculum size must be an integer, got {s!r}")
     if s < 1:
         raise ValueError("curriculum size must be positive")
     s = min(s, r.shape[1])

@@ -57,6 +57,10 @@ def test_feedback_bounds_and_validation():
         feedback_value(np.array([[0.5, 0.5]]), 1)
     with pytest.raises(ValueError):
         feedback_value(np.array([[-0.1, 1.1]]), 2)
+    # a NaN would drop out of the entropy sum and read as a confident row
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            feedback_value(np.array([[bad, 0.5]]), 2)
 
 
 def test_initial_size_values():

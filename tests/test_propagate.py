@@ -318,6 +318,21 @@ def test_steady_state_rejects_a_stay_of_one():
         steady_state(SWAP, np.eye(2), 0.5, np.ones(2))
 
 
+def test_steady_state_rejects_a_nan_stay():
+    # a NaN share once ran every conjugate-gradient step and then blamed the solver
+    with pytest.raises(ValueError, match=r"stay shares must lie in \[0, 1\)"):
+        steady_state(SWAP, init_labels(np.array([0, -1]), 2), 0.5, np.array([0.0, np.nan]))
+
+
+def test_steady_state_rejects_a_stay_or_scores_not_one_per_node():
+    for stay in (np.zeros(3), np.zeros((2, 2)), 0.0):
+        with pytest.raises(ValueError, match=r"stay must hold one share per node, shape \(2,\)"):
+            steady_state(SWAP, np.eye(2), 0.5, stay)
+    for scores in (np.full((3, 2), 0.5), np.full(2, 0.5)):
+        with pytest.raises(ValueError, match="scores must hold one row per node, 2 rows"):
+            steady_state(SWAP, scores, 0.5, np.zeros(2))
+
+
 def test_final_labels_argmax_and_pinning():
     scores = np.array([[0.2, 0.7, 0.1], [0.5, 0.5, 0.0], [0.1, 0.2, 0.7]])
     labels = np.array([-1, -1, 0])  # row 2 was given class 0, argmax says 2

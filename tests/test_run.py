@@ -490,6 +490,14 @@ def test_config_rejects_a_k_that_is_not_an_integer():
     assert json.loads(result_to_json(result))["config"]["k"] == 4
 
 
+def test_config_stores_kernels_as_a_tuple():
+    # a list would leave the frozen config unhashable and unequal to its tuple twin
+    listed = RunConfig(kernels=["gaussian", "flap"])
+    assert listed.kernels == ("gaussian", "flap")
+    assert listed == RunConfig(kernels=("gaussian", "flap"))
+    assert hash(listed) == hash(RunConfig())
+
+
 def test_config_rejects_non_finite_values():
     for name in ("sigma", "kappa2", "beta0", "beta1", "gamma"):
         for value in (float("nan"), float("inf"), float("-inf")):
@@ -617,10 +625,10 @@ def test_paired_t_test_validation():
 
 
 def test_round_moved_tells_whether_the_solve_left_its_start(monkeypatch):
-    # single-teacher-gaussian on a protocol input (two blobs of 100 at
-    # covariance 1.5): each round's flag is the solve's curriculum, as a set,
-    # against the one its easiest start reads as, and the solve moves in some
-    # rounds and keeps its start in others
+    # hydent on a protocol input (two blobs of 100 at covariance 1.5): each
+    # round's flag is the solve's curriculum, as a set, against the one its
+    # easiest start reads as, and the solve moves in some rounds (here round
+    # 15) and keeps its start in others
     solves = []
     solve = hydent.run.bcd_solve
 
@@ -629,9 +637,9 @@ def test_round_moved_tells_whether_the_solve_left_its_start(monkeypatch):
         return solves[-1][2]
 
     monkeypatch.setattr(hydent.run, "bcd_solve", spy)
-    dataset = synth_noisy_gaussian(100, 1.5, seed=1002)
-    labeled_idx, _ = split(dataset, SplitSpec(1, seed=1002))
-    result = run_baseline(dataset, labeled_idx, RunConfig(seed=1002), "single-teacher-gaussian")
+    dataset = synth_noisy_gaussian(100, 1.5, seed=1011)
+    labeled_idx, _ = split(dataset, SplitSpec(1, seed=1011))
+    result = run_hydent(dataset, labeled_idx, RunConfig(seed=1011))
     solved = [r for r in result.rounds if r.converged is not None]
     assert len(solved) == len(solves)
     assert all((r.moved is None) == (r.converged is None) for r in result.rounds)

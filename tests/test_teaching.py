@@ -268,30 +268,36 @@ def test_extract_curriculum_worked_example():
     np.testing.assert_array_equal(extract_curriculum(blocks, 2), [0, 2])
 
 
-def test_extract_curriculum_shrinks_to_surviving_rows():
+def test_extract_curriculum_returns_min_s_b_rows():
+    # near-zero and zero rows still fill the curriculum, last; s past the
+    # pool size gives every row
     blocks = [np.array([[0.9], [0.0], [0.0005]])]
-    np.testing.assert_array_equal(extract_curriculum(blocks, 3), [0])
+    np.testing.assert_array_equal(extract_curriculum(blocks, 3), [0, 2, 1])
+    np.testing.assert_array_equal(extract_curriculum(blocks, 5), [0, 2, 1])
+    np.testing.assert_array_equal(extract_curriculum(blocks, 2), [0, 2])
 
 
-def test_extract_curriculum_prefers_nonsparse_rows():
+def test_extract_curriculum_prefers_larger_norm_to_more_entries():
+    # row 0 has norm 0.5, row 1 two entries but norm 0.3 * sqrt(2) < 0.5
     blocks = [np.array([[0.5, 0.0], [0.3, 0.3], [0.0, 0.0]])]
-    # row 1 has two surviving entries, row 0 only one
-    np.testing.assert_array_equal(extract_curriculum(blocks, 2), [1, 0])
+    np.testing.assert_array_equal(extract_curriculum(blocks, 2), [0, 1])
 
 
-def test_extract_curriculum_ranks_by_surviving_count_before_norm():
-    # the count-first rule: a stacked row with two entries of 0.002, just above
-    # CUTOFF, outranks a row holding one entry of 1.0
-    blocks = [np.array([[1.0], [0.002], [0.0]]), np.array([[0.0], [0.002], [0.0]])]
-    np.testing.assert_array_equal(extract_curriculum(blocks, 1), [1])
-    np.testing.assert_array_equal(extract_curriculum(blocks, 2), [1, 0])
+def test_extract_curriculum_ranks_by_stacked_row_norm():
+    # a picked row holding 1.0 outranks a row that drifted to two entries of
+    # 0.002; equal norms go to the lower position
+    blocks = [np.array([[1.0], [0.002], [0.0], [0.0]]), np.array([[0.0], [0.002], [0.0], [1.0]])]
+    np.testing.assert_array_equal(extract_curriculum(blocks, 1), [0])
+    np.testing.assert_array_equal(extract_curriculum(blocks, 4), [0, 3, 1, 2])
+    np.testing.assert_array_equal(extract_curriculum(np.stack(blocks), 2), [0, 3])
 
 
-def test_extract_curriculum_all_zero_falls_back():
+def test_extract_curriculum_ranks_tiny_rows_by_norm_without_warning():
     blocks = [np.array([[1e-5], [3e-4]]), np.array([[2e-5], [1e-4]])]
-    with pytest.warns(UserWarning, match="every selection entry fell below the threshold"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         positions = extract_curriculum(blocks, 1)
-    np.testing.assert_array_equal(positions, [1])  # larger raw norm
+    np.testing.assert_array_equal(positions, [1])  # larger norm
 
 
 def test_bcd_solve_trace_monotone_and_converges():
@@ -354,7 +360,7 @@ def test_bcd_solve_clamps_s_to_pool():
     R = np.eye(3)
     sol = bcd_solve([R], 1.0, 1.0, 7, init=np.random.default_rng(0).random((1, 3, 3)))
     assert sol.blocks[0].shape == (3, 3)
-    assert sol.curriculum.size <= 3
+    assert sorted(sol.curriculum.tolist()) == [0, 1, 2]
 
 
 def test_bcd_solve_respects_explicit_init():
@@ -445,7 +451,7 @@ def test_bcd_solve_reports_moved_against_the_given_start():
 
 
 def test_bcd_solve_moved_compares_sets_not_order():
-    # a start reads as rows [1, 3] (equal counts and norms, so by index); the
+    # a start reads as rows [1, 3] (equal norms, so by index); the
     # cheaper row 3 keeps more mass and ranks first, yet the set is the start's
     r = np.diag([5.0, 0.2, 6.0, 0.1, 7.0])
     init = np.zeros((1, 5, 2))
@@ -457,16 +463,15 @@ def test_bcd_solve_moved_compares_sets_not_order():
 
 
 def test_bcd_solve_moved_when_a_row_is_swapped_in():
-    # row 0 is coupled to both picked rows, so its two entries drift to about
-    # 0.005, above CUTOFF; ranked by surviving count it displaces picked row 1
-    r = np.zeros((4, 4))
-    r[:3, :3] = [[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]]
-    r[3, 3] = 3.0
-    init = np.zeros((1, 4, 2))
-    init[0, 1, 0] = init[0, 2, 1] = 1.0
-    sol = bcd_solve([r], 0.0, 100.0, 2, init=init)
-    np.testing.assert_array_equal(sol.curriculum, [0, 2])
+    # the start picks expensive row 1; its coupling to cheap row 0 pulls the
+    # selection's mass over, so row 0 ends near 1 and row 1 near 0
+    r = np.array([[0.1, -0.5, 0.0], [-0.5, 3.0, 0.0], [0.0, 0.0, 5.0]])
+    init = np.zeros((1, 3, 1))
+    init[0, 1, 0] = 1.0
+    sol = bcd_solve([r], 0.0, 5.0, 1, init=init)
+    np.testing.assert_array_equal(sol.curriculum, [0])
     assert sol.moved
+    assert sol.blocks[0][0, 0] > 0.9 and abs(sol.blocks[0][1, 0]) < 0.1
 
 
 def test_bcd_solve_rejects_bad_sizes():
@@ -480,6 +485,11 @@ def test_bcd_solve_rejects_bad_sizes():
             bcd_solve(r_list, 1.0, 1.0, 1)
     with pytest.raises(ValueError, match="curriculum size must be positive"):
         bcd_solve([np.eye(2)], 1.0, 1.0, 0)
+    # 2.5 would fail in easiest_start's slice with a bare TypeError; numpy integers run like ints
+    for s in (2.0, 2.5, True, "2"):
+        with pytest.raises(ValueError, match=rf"curriculum size must be an integer, got {re.escape(repr(s))}"):
+            bcd_solve([np.eye(3)], 1.0, 1.0, s)
+    assert bcd_solve([np.eye(3)], 1.0, 1.0, np.int64(2)).curriculum.size == 2
 
 
 def two_guard_solve(r_list, beta0, beta1, s, init=None):
@@ -487,8 +497,8 @@ def two_guard_solve(r_list, beta0, beta1, s, init=None):
 
     Besides the full-objective guard, it kept each block's step only if the
     block's directly evaluated surrogate did not rise.  The numerics are
-    written out here (zeta 1e-8, epsilon 1e-4, 300 sweeps, cutoff 0.001), so
-    the comparison also pins the solver's constants.
+    written out here (zeta 1e-8, epsilon 1e-4, 300 sweeps), so the
+    comparison also pins the solver's constants.
     """
     r = np.asarray(r_list, dtype=float)
     s = min(s, r.shape[1])
@@ -513,10 +523,8 @@ def two_guard_solve(r_list, beta0, beta1, s, init=None):
         if moved < 1e-4:
             converged = True
             break
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hydent.teaching, "CUTOFF", 0.001)
-        curriculum = extract_curriculum(blocks, s)
-        moved = set(curriculum.tolist()) != set(extract_curriculum(start, s).tolist())
+    curriculum = extract_curriculum(blocks, s)
+    moved = set(curriculum.tolist()) != set(extract_curriculum(start, s).tolist())
     return TeachingSolution(tuple(blocks), curriculum, np.asarray(trace), converged, moved)
 
 
