@@ -57,6 +57,22 @@ def _edges(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> Ed
     return Edges(indptr, np.asarray(cols, dtype=np.intp), values)
 
 
+def _indices(idx, role, n):
+    """``idx`` as int indices in [0, n); a boolean mask (read as 0 and 1) and a fractional index are refused."""
+    idx = np.asarray(idx)
+    if idx.dtype == bool:
+        raise ValueError(f"{role} indices were given as a boolean mask; pass np.flatnonzero(mask)")
+    if idx.dtype.kind == "f":  # whole floats pass, so an empty list reads as no indices
+        fractional = idx[~(np.isfinite(idx) & (idx == np.floor(idx)))]
+        if fractional.size:
+            raise ValueError(f"{role} index {fractional[0]} is not a whole number")
+    idx = idx.astype(int, copy=False)
+    outside = idx[(idx < 0) | (idx >= n)]
+    if outside.size:
+        raise ValueError(f"{role} index {outside[0]} is outside [0, {n})")
+    return idx
+
+
 @dataclass(frozen=True)
 class LearnerGraph:
     """Edge weights plus every derived quantity a learner or teacher needs.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import LearnerGraph
+from .graph import LearnerGraph, _indices
 
 # The closure's conjugate gradients stop once the diagonally scaled residual
 # is below CG_TOLERANCE * (1 - theta), which bounds every score's error by
@@ -62,14 +62,16 @@ def propagate_round(previous, graph, curriculum, stay, learned, initial):
     learners whose stay vectors average to ``stay``.  Every other row is
     reset to its ``initial`` value, which keeps labeled rows pinned and
     untouched rows at the prior.  All updates read the same ``previous``
-    state.
+    state.  Each refreshed row is a convex blend of ``previous``'s rows, P
+    being row-stochastic, so row sums of one stay one without a repair.
     """
     previous = np.asarray(previous, dtype=float)
-    curriculum = np.asarray(curriculum, dtype=int)
-    learned = np.asarray(learned, dtype=int)
-    stay = _stay_shares(stay, previous.shape[0])
+    n = previous.shape[0]
+    curriculum = _indices(curriculum, "curriculum", n)
+    learned = _indices(learned, "learned", n)
+    stay = _stay_shares(stay, n)
     if curriculum.size and learned.size:
-        seen = np.zeros(previous.shape[0], dtype=bool)
+        seen = np.zeros(n, dtype=bool)
         seen[learned] = True
         if seen[curriculum].any():
             raise ValueError("curriculum rows must not already be learned")
@@ -78,10 +80,6 @@ def propagate_round(previous, graph, curriculum, stay, learned, initial):
     spread = graph.product(graph.iteration, previous)
     scores = np.array(initial, dtype=float, copy=True)
     scores[rows] = (1.0 - stay[rows])[:, None] * spread[rows] + stay[rows, None] * previous[rows]
-
-    sums = scores.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-12:
-        scores /= sums[:, None]
     return scores
 
 

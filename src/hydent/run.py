@@ -34,9 +34,9 @@ import numpy as np
 
 from .data import Dataset
 from .feedback import feedback_value, next_size
-from .graph import assemble, flap_style_weights, gaussian_weights, knn_pattern
+from .graph import _indices, assemble, flap_style_weights, gaussian_weights, knn_pattern
 from .propagate import final_labels, init_labels, propagate_round, steady_state
-from .teacher import _indices, candidate_set, make_teacher, teaching_matrix
+from .teacher import candidate_set, make_teacher, teaching_matrix
 from .teaching import bcd_solve
 
 KNOWN_KERNELS = ("gaussian", "flap")
@@ -63,6 +63,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.kernels, str):
+            raise ValueError(f"kernels={self.kernels!r} is one string, not a sequence of kernel names; "
+                             f"for one learner pass kernels=({self.kernels!r},)")
         # a list runs alike but would leave the config unhashable and unequal to its tuple twin
         object.__setattr__(self, "kernels", tuple(self.kernels))
         if not self.kernels:
@@ -94,8 +97,8 @@ class RunConfig:
 class RoundRecord:
     """Trace of one teaching round.
 
-    ``curriculum`` holds the nodes the round taught, and ``scores`` the
-    state after its propagation, which ran at the learners' pooled stay.
+    ``curriculum`` holds the nodes the round taught.  A record keeps no
+    scores: the run holds one state, closed into :attr:`RunResult.scores`.
     ``converged`` and ``moved`` are the round's selection solve's flags
     (see :class:`~hydent.teaching.TeachingSolution`): whether it converged,
     and whether its curriculum differs, as a set, from the one its start
@@ -110,7 +113,6 @@ class RoundRecord:
     seconds: float
     objective: np.ndarray
     curriculum: np.ndarray
-    scores: np.ndarray
     converged: bool | None
     moved: bool | None
 
@@ -240,7 +242,6 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
             seconds=time.perf_counter() - tick,
             objective=objective,
             curriculum=chosen,
-            scores=scores,
             converged=converged,
             moved=moved,
         )

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import LearnerGraph, pseudoinverse, spd_inverse
+from .graph import LearnerGraph, _indices, pseudoinverse, spd_inverse
 
 # Ties in average commute time would make 1/gap blow up; a tied candidate is
 # simply non-discriminable, so its gap is floored at a small positive value.
@@ -73,22 +73,6 @@ def make_teacher(graph: LearnerGraph, kappa2: float = 100.0) -> TeacherState:
     if kappa2 <= 0:
         raise ValueError("kappa2 must be positive")
     return TeacherState(graph, kappa2, pseudoinverse(graph))
-
-
-def _indices(idx, role, n):
-    """``idx`` as int indices in [0, n); a boolean mask (read as 0 and 1) and a fractional index are refused."""
-    idx = np.asarray(idx)
-    if idx.dtype == bool:
-        raise ValueError(f"{role} indices were given as a boolean mask; pass np.flatnonzero(mask)")
-    if idx.dtype.kind == "f":  # whole floats pass, so an empty list reads as no indices
-        fractional = idx[~(np.isfinite(idx) & (idx == np.floor(idx)))]
-        if fractional.size:
-            raise ValueError(f"{role} index {fractional[0]} is not a whole number")
-    idx = idx.astype(int, copy=False)
-    outside = idx[(idx < 0) | (idx >= n)]
-    if outside.size:
-        raise ValueError(f"{role} index {outside[0]} is outside [0, {n})")
-    return idx
 
 
 def candidate_set(graph: LearnerGraph, anchored: np.ndarray) -> np.ndarray:

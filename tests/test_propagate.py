@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import dense_oracle as oracle
+import hydent.run
 from dense_oracle import dense, graph_of, iteration_graph
 from hydent.data import SplitSpec, split, synth_noisy_gaussian
 from hydent.graph import Edges, flap_style_weights
@@ -126,6 +127,24 @@ def test_propagate_round_rejects_a_stay_not_one_share_per_node():
     for stay in (np.zeros((2, 3)), np.zeros((1, 3)), np.zeros(1), np.zeros(4), 0.0):
         with pytest.raises(ValueError, match=r"stay must hold one share per node, shape \(3,\)"):
             propagate_round(initial, p, np.array([1]), stay, np.array([2]), initial)
+
+
+@pytest.mark.parametrize("argument", ["curriculum", "learned"])
+@pytest.mark.parametrize("bad, message", [
+    ([-1], r"index -1 is outside \[0, 10\)"),
+    ([10], r"index 10 is outside \[0, 10\)"),
+    ([1.7], r"index 1\.7 is not a whole number"),
+    (np.arange(10) == 7, r"indices were given as a boolean mask; pass np\.flatnonzero\(mask\)"),
+], ids=["negative", "n", "fractional", "mask"])
+def test_propagate_round_rejects_indices_outside_the_graph_fractional_or_masked(argument, bad, message):
+    # read as ints, -1 would refresh row 9, 1.7 row 1 and the mask rows 0 and 1
+    labels = np.full(10, -1)
+    labels[:2] = [0, 1]
+    initial = init_labels(labels, 2)
+    rows = {"curriculum": np.array([5]), "learned": np.array([6]), argument: np.array(bad)}
+    with pytest.raises(ValueError, match=f"^{argument} {message}$"):
+        propagate_round(initial, random_graph(np.random.default_rng(35), 10), rows["curriculum"],
+                        np.zeros(10), rows["learned"], initial)
 
 
 @pytest.mark.parametrize("share", [3.0, 1.0, -0.5, np.nan])
@@ -245,31 +264,41 @@ def test_propagate_round_stays_match_the_per_learner_blend():
             learned = np.concatenate([learned, batch])
 
 
-def test_pooled_rounds_replay_the_per_row_blend_at_uniform_weights():
+def test_pooled_rounds_replay_the_per_row_blend_at_uniform_weights(monkeypatch):
     # a run propagates every round at its learners' mean stay; replayed with
     # the per-row weighted blend of learners that pooling replaced, every
     # weight 1/learners, each round's scores come out bit for bit, in every
     # kernel order (the blend 0.5 * 0 + 0.5 * a and the mean (0 + a) / 2 are
-    # one double, and for one learner both read a)
+    # one double, and for one learner both read a).  A round record keeps no
+    # scores, so each round's state is read as the run's propagate_round returns it.
     dataset = synth_noisy_gaussian(30, 1.0, seed=34)
     labeled_idx, _ = split(dataset, SplitSpec(1, seed=34))
     masked = np.full(dataset.n, -1)
     masked[labeled_idx] = dataset.labels[labeled_idx]
+    states = []
+
+    def watch(*args, **kwargs):
+        states.append(propagate_round(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(hydent.run, "propagate_round", watch)
     for kernels in (("gaussian",), ("flap",), ("gaussian", "flap"), ("flap", "gaussian")):
         config = RunConfig(kernels=kernels)
+        states.clear()
         result = run_hydent(dataset, labeled_idx, config)
+        assert len(states) == len(result.rounds), kernels
         assert any(r.converged is not None for r in result.rounds), kernels  # some round ran a solve
         graph, stays = _build_graphs(dataset.features, config)
         F = initial = init_labels(masked, dataset.class_count)
         learned = np.array([], dtype=int)
-        for record in result.rounds:
+        for record, state in zip(result.rounds, states):
             batch = record.curriculum
             weights = np.full((batch.size, len(kernels)), 1.0 / len(kernels))
             blended = np.zeros(graph.n)
             blended[np.concatenate([learned, batch])] = oracle.blended_stay(batch, weights, learned, stays)
             dense_round = oracle.propagate_round(F, iteration_of(graph), batch, weights, learned, initial, stays)
             F = propagate_round(F, graph, batch, blended, learned, initial)
-            assert np.array_equal(F, record.scores), (kernels, record.index)
+            assert np.array_equal(F, state), (kernels, record.index)
             np.testing.assert_allclose(F, dense_round, rtol=0.0, atol=1e-15)
             learned = np.concatenate([learned, batch])
         np.testing.assert_array_equal(np.sort(learned), np.flatnonzero(masked < 0))

@@ -288,6 +288,18 @@ def test_no_teaching_run_allocates_no_dense_square():
     assert peak < dataset.n * dataset.n * 8, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_round_records_hold_no_per_round_state():
+    # a record holds the round's decisions and timings; a copy of the n x c
+    # scores on each of the ~27 records would grow with rounds x n
+    dataset = synth_noisy_gaussian(1000, 1.0, seed=1000)
+    labeled_idx, _ = split(dataset, SplitSpec(1, seed=1000))
+    result = run_baseline(dataset, labeled_idx, RunConfig(seed=1000), "hybrid-no-teaching")
+    held = sum(value.nbytes for record in result.rounds for value in vars(record).values()
+               if isinstance(value, np.ndarray))
+    assert len(result.rounds) > 4
+    assert held < 4 * 8 * dataset.n, f"{held} bytes over {len(result.rounds)} rounds"
+
+
 def test_labeled_indices_outside_the_dataset_are_rejected():
     # -1 must not wrap round to the last node, and n must not raise a bare IndexError
     dataset, labeled_idx, _, config = small_problem(seed=0, n=20)
@@ -488,6 +500,14 @@ def test_config_rejects_a_k_that_is_not_an_integer():
     dataset, labeled_idx, _, _ = small_problem()
     result = run_baseline(dataset, labeled_idx, RunConfig(k=np.int64(4)), "hydent")
     assert json.loads(result_to_json(result))["config"]["k"] == 4
+
+
+def test_config_rejects_a_bare_kernel_name():
+    # iterated, "gaussian" would read as the kernels "g", "a", ...
+    for name in ("gaussian", "flap"):
+        with pytest.raises(ValueError, match=rf"kernels='{name}' is one string.*kernels=\('{name}',\)"):
+            RunConfig(kernels=name)
+    assert RunConfig(kernels=["flap"]).kernels == ("flap",)
 
 
 def test_config_stores_kernels_as_a_tuple():
