@@ -17,7 +17,7 @@ import numpy as np
 
 
 def feedback_value(scores: np.ndarray, class_count: int, gamma: float = 0.5) -> float:
-    """g in (0, 1] from the just-learned rows of the score matrix.
+    """g in (0, 1] from the just-learned rows of the score matrix, one column per class.
 
     Entries at zero contribute nothing (the 0 log 0 = 0 convention).
     """
@@ -26,6 +26,8 @@ def feedback_value(scores: np.ndarray, class_count: int, gamma: float = 0.5) -> 
         raise ValueError("need a nonempty matrix of learned rows")
     if class_count < 2:
         raise ValueError("need at least two classes")
+    if scores.shape[1] != class_count:
+        raise ValueError(f"scores must hold one column per class, {class_count}, not {scores.shape[1]}")
     if not np.all(np.isfinite(scores)) or scores.min() < 0.0:
         raise ValueError("scores must be finite and nonnegative")
     positive = scores > 0.0

@@ -9,9 +9,11 @@ squared distance is taken by direct differences on the centred features.  It put
 Gaussian kernel weights on the edges, reads flap's self-loop weights off
 them, and precomputes the degree vector and the row-stochastic iteration
 matrix on the same edges.  Teachers read two dense inverses built from
-the Laplacian, and :func:`pseudoinverse` is one of them; both come from the symmetric
-positive-definite inverse :func:`spd_inverse`, a Cholesky factor inverted
-by blocks, so no run computes an eigendecomposition.  The graph's cached
+the Laplacian, and :func:`pseudoinverse` is one of them; both come from
+:func:`spd_inverse`, which overwrites a symmetric positive-definite matrix
+with its inverse, by halves over Schur complements down to blocks inverted
+through their Cholesky factors.  So no run computes an eigendecomposition,
+and no inverse needs a second n x n array.  The graph's cached
 dense ``laplacian`` and its spectrum are computed only when read: the
 benchmark tracer (``bench/tracing.py``) and tests read them, no run does.
 """
@@ -36,6 +38,14 @@ SWEEP_BLOCK = 128
 # spd_inverse inverts a triangular block of at most this order directly and
 # splits a larger one in halves joined by matrix products.
 TRIANGLE_BLOCK = 64
+
+# spd_inverse inverts a matrix of at most this order through its Cholesky
+# factor and splits a larger one in halves joined over the Schur complement.
+INVERSE_BLOCK = 256
+
+# Rows of a dense n x n array spd_inverse and pseudoinverse rewrite at a time,
+# so a panel's temporaries stay a small share of the array.
+PANEL_ROWS = 64
 
 
 class Edges(NamedTuple):
@@ -397,22 +407,71 @@ def _lower_inverse(lower: np.ndarray) -> None:
     lower[half:, :half] = -(lower[half:, half:] @ (lower[half:, :half] @ lower[:half, :half]))
 
 
-def spd_inverse(matrix: np.ndarray) -> np.ndarray:
-    """The inverse of a symmetric positive-definite matrix, exactly symmetric.
+def _panels(rows: int) -> list:
+    """Slices of ``PANEL_ROWS`` consecutive rows covering [0, ``rows``)."""
+    return [slice(start, min(rows, start + PANEL_ROWS)) for start in range(0, rows, PANEL_ROWS)]
 
-    With matrix = F F^T its Cholesky factorization, the inverse is K^T K for
-    K = F^-1, inverted in F's own buffer.  This takes about half the time of
-    ``np.linalg.inv``'s LU route.
+
+def _mirror_lower(matrix: np.ndarray, rows: int) -> None:
+    """Copy the lower triangle onto the upper one in ``matrix``'s first ``rows`` rows, a row panel at a time."""
+    for panel in _panels(rows):
+        matrix[panel, panel.stop:] = matrix[panel.stop:, panel].T
+        square = matrix[panel, panel]
+        upper = np.triu_indices(panel.stop - panel.start, 1)
+        square[upper] = square.T[upper]
+
+
+def _invert_by_halves(matrix: np.ndarray) -> None:
+    """Overwrite the symmetric positive-definite ``matrix`` with its inverse, read from its lower triangle.
+
+    A matrix of order at most ``INVERSE_BLOCK`` is inverted as K^T K for
+    K = F^-1, F its Cholesky factor, inverted in F's own buffer.  A larger
+    one, [[A, B^T], [B, C]], is inverted by halves over the Schur complement
+    S = C - B A^-1 B^T: with T = B A^-1, the inverse is
+    [[A^-1 + T^T S^-1 T, (-S^-1 T)^T], [-S^-1 T, S^-1]] (block LDL^T; Golub &
+    Van Loan, *Matrix Computations*, sec. 4.2).  T is the only array the
+    step keeps; every result is written over the block it replaces.
     """
-    factor = np.linalg.cholesky(matrix)
-    _lower_inverse(factor)
-    return factor.T @ factor
+    n = matrix.shape[0]
+    if n <= INVERSE_BLOCK:
+        factor = np.linalg.cholesky(matrix)
+        _lower_inverse(factor)
+        np.matmul(factor.T, factor, out=matrix)
+        return
+    half = n // 2
+    head, cross, tail = matrix[:half, :half], matrix[half:, :half], matrix[half:, half:]
+    _invert_by_halves(head)
+    t = cross @ head
+    tail -= t @ cross.T
+    _invert_by_halves(tail)
+    np.matmul(tail, t, out=cross)
+    cross *= -1.0
+    head -= t.T @ cross
+    _mirror_lower(matrix, half)
 
 
-def _null_projector(labels: np.ndarray) -> np.ndarray:
-    """P0, the projector onto the Laplacian's null space: 1 / n_c within component c, 0 across."""
-    indicator = (labels[:, None] == np.arange(labels.max() + 1)).astype(float)
-    return (indicator / indicator.sum(axis=0)) @ indicator.T
+def spd_inverse(matrix: np.ndarray) -> np.ndarray:
+    """Overwrite the symmetric positive-definite ``matrix`` with its inverse, exactly symmetric, and return it.
+
+    Only the lower triangle is read.  The inverse is built in the
+    argument's own buffer by :func:`_invert_by_halves`, so its temporaries
+    hold about n^2 / 2 entries at their peak; at n = 1000 on one BLAS thread
+    it takes under half the time of ``np.linalg.inv``'s LU route.  Raises
+    ``np.linalg.LinAlgError`` if the matrix is not positive definite, and
+    ``matrix`` then holds partial results.
+    """
+    if not (isinstance(matrix, np.ndarray) and matrix.dtype == float and matrix.ndim == 2
+            and matrix.shape[0] == matrix.shape[1]):
+        raise ValueError("spd_inverse overwrites its argument, which must be a square float64 array")
+    _invert_by_halves(matrix)
+    return matrix
+
+
+def _add_null_projector(matrix: np.ndarray, labels: np.ndarray, sign: float) -> None:
+    """Add ``sign`` P0 to ``matrix`` a row panel at a time; P0 holds 1 / n_c within component c, 0 across."""
+    share = sign / np.bincount(labels)
+    for panel in _panels(labels.size):
+        matrix[panel] += (labels[panel, None] == labels) * share[labels[panel], None]
 
 
 def pseudoinverse(graph: LearnerGraph) -> np.ndarray:
@@ -421,13 +480,14 @@ def pseudoinverse(graph: LearnerGraph) -> np.ndarray:
     P0 projects onto L's null space, the indicators of its
     :func:`components`, so L + P0 is positive definite with L's eigenvectors,
     and removing P0 from its inverse leaves 1/lambda on every nonzero mode
-    and 0 on the zero modes (Fouss et al., IEEE TKDE 2007).  P0 is built
-    twice rather than kept, so it never adds to the inverse's peak memory.
+    and 0 on the zero modes (Fouss et al., IEEE TKDE 2007).  P0 is added
+    and removed in place, a row panel at a time, and the inverse is made in
+    the grounded Laplacian's own buffer, so L+ is the one n x n array built.
     """
     labels = components(graph)
-    grounded = graph.dense_laplacian()
-    grounded += _null_projector(labels)
-    pinv = spd_inverse(grounded)
-    pinv -= _null_projector(labels)
+    pinv = graph.dense_laplacian()
+    _add_null_projector(pinv, labels, 1.0)
+    spd_inverse(pinv)
+    _add_null_projector(pinv, labels, -1.0)
     return pinv
 

@@ -55,18 +55,24 @@ def _stay_shares(stay, n: int) -> np.ndarray:
 def propagate_round(previous, graph, curriculum, stay, learned, initial):
     """One synchronous refresh of the active rows over ``graph``'s iteration matrix P.
 
-    ``stay`` holds one share per node, in [0, 1).  Each ``curriculum`` row and each
-    ``learned`` row (from earlier rounds) becomes (1 - a) (P F)[row] +
-    a F[row] at its share a: the update of the learner with stay vector
-    ``stay``, and, as that update is affine in a, the uniform blend of
-    learners whose stay vectors average to ``stay``.  Every other row is
-    reset to its ``initial`` value, which keeps labeled rows pinned and
-    untouched rows at the prior.  All updates read the same ``previous``
-    state.  Each refreshed row is a convex blend of ``previous``'s rows, P
-    being row-stochastic, so row sums of one stay one without a repair.
+    ``previous`` and ``initial`` hold one row per node of ``graph`` and the
+    same columns, and ``stay`` one share per node, in [0, 1).  Each
+    ``curriculum`` row and each ``learned`` row (from earlier rounds)
+    becomes (1 - a) (P F)[row] + a F[row] at its share a: the update of the
+    learner with stay vector ``stay``, and, as that update is affine in a,
+    the uniform blend of learners whose stay vectors average to ``stay``.
+    Every other row is reset to its ``initial`` value, which keeps labeled
+    rows pinned and untouched rows at the prior.  All updates read the same
+    ``previous`` state.  Each refreshed row is a convex blend of
+    ``previous``'s rows, P being row-stochastic, so row sums of one stay one
+    without a repair.
     """
-    previous = np.asarray(previous, dtype=float)
-    n = previous.shape[0]
+    previous, initial = np.asarray(previous, dtype=float), np.asarray(initial, dtype=float)
+    n = graph.n
+    if previous.ndim != 2 or previous.shape[0] != n:
+        raise ValueError(f"previous must hold one row per node, shape ({n}, classes), not {previous.shape}")
+    if initial.shape != previous.shape:
+        raise ValueError(f"initial has shape {initial.shape} but previous has shape {previous.shape}; they must match")
     curriculum = _indices(curriculum, "curriculum", n)
     learned = _indices(learned, "learned", n)
     stay = _stay_shares(stay, n)
@@ -78,7 +84,7 @@ def propagate_round(previous, graph, curriculum, stay, learned, initial):
 
     rows = np.concatenate([learned, curriculum])
     spread = graph.product(graph.iteration, previous)
-    scores = np.array(initial, dtype=float, copy=True)
+    scores = initial.copy()
     scores[rows] = (1.0 - stay[rows])[:, None] * spread[rows] + stay[rows, None] * previous[rows]
     return scores
 

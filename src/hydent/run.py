@@ -16,7 +16,8 @@ Every learner shares one sparse kNN graph, built once per run: a learner
 is its stay vector over that graph (see ``propagate.py``), and one teacher
 judges for all of them.  A run without teachers holds no n x n array; a
 taught run's only ones are the teacher's Laplacian pseudoinverse and its
-running covariance.
+running covariance, each inverted in its own buffer, so they are also its
+peak: L+ plus Sigma, and temporaries of order n / 2.
 
 Ablation variants reuse the same driver so that, for example, the full
 method with one learner and the coupling weight at zero reproduces the

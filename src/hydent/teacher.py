@@ -13,14 +13,16 @@ given the anchored nodes, the candidates' conditional covariance is their
 block of (Q_RR)^-1, R being the nodes not yet anchored (Rue & Held, *Gaussian
 Markov Random Fields*, 2005, ch. 2).  Each teacher keeps the running
 conditional covariance Sigma of R for the run: its first
-``teaching_matrix`` call inverts Q for the prior over every node, and every
-call removes the nodes anchored since, by the Schur downdate
-Sigma <- Sigma - Sigma_.C Sigma_CC^-1 Sigma_C., so a later round costs
-O(|R|^2 |C|) instead of an O(|R|^3) inverse.
+``teaching_matrix`` call inverts Q, in Q's own buffer, for the prior over
+every node, and every call removes the nodes anchored since, by the Schur
+downdate Sigma <- Sigma - Sigma_.C Sigma_CC^-1 Sigma_C., so a later round
+costs O(|R|^2 |C|) instead of an O(|R|^3) inverse.
 
 Discriminability reads class-mean commute times off L+, the Laplacian's
 pseudoinverse, which ``make_teacher`` computes once per run as
-(L + P0)^-1 - P0 (see :func:`hydent.graph.pseudoinverse`).
+(L + P0)^-1 - P0 (see :func:`hydent.graph.pseudoinverse`).  Both inverses
+are made in place, so a teacher's dense arrays at their peak are L+ and
+Sigma plus temporaries of order n / 2.
 """
 
 from __future__ import annotations
@@ -161,6 +163,7 @@ def _condition(teacher: TeacherState, anchored: np.ndarray) -> None:
         teacher.free = np.arange(n)
         precision = teacher.graph.dense_laplacian()
         precision.flat[::n + 1] += 1.0 / teacher.kappa2
+        # inverted in its own buffer, which sigma then owns
         teacher.sigma = spd_inverse(precision)
     elif anchored.sum() - anchored[teacher.free].sum() != n - teacher.free.size:
         raise ValueError("anchors must include the last call's; score fewer with a new make_teacher")

@@ -63,6 +63,14 @@ def test_feedback_bounds_and_validation():
             feedback_value(np.array([[bad, 0.5]]), 2)
 
 
+def test_feedback_rejects_scores_not_one_column_per_class():
+    # uniform rows of the wrong width used to read 0.729 and 0.453, not exp(-gamma)
+    with pytest.raises(ValueError, match="scores must hold one column per class, 3, not 2"):
+        feedback_value(np.full((4, 2), 0.5), 3)
+    with pytest.raises(ValueError, match="scores must hold one column per class, 2, not 3"):
+        feedback_value(np.full((4, 3), 1.0 / 3.0), 2)
+
+
 def test_initial_size_values():
     # the first round is sized with the feedback of rows at the uniform prior, exp(-gamma)
     assert next_size(10, math.exp(-0.5)) == 7  # ceil(10 exp(-0.5)) = ceil(6.065)

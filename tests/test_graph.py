@@ -19,6 +19,7 @@ from dense_oracle import dense, graph_of, sparse
 from hydent import synth_noisy_gaussian
 from hydent.graph import (
     Edges,
+    INVERSE_BLOCK,
     LearnerGraph,
     assemble,
     TRIANGLE_BLOCK,
@@ -513,23 +514,39 @@ def test_pseudoinverse_matches_numpy_pinv():
         assert np.array_equal(pinv, pinv.T)
 
 
-@pytest.mark.parametrize("size", [1, 2, TRIANGLE_BLOCK - 1, TRIANGLE_BLOCK, TRIANGLE_BLOCK + 1, 257])
+@pytest.mark.parametrize("size", [1, 2, TRIANGLE_BLOCK - 1, TRIANGLE_BLOCK, TRIANGLE_BLOCK + 1, 257, 513, 1000])
 def test_spd_inverse_matches_numpy_inv(size):
-    # sizes around the direct block and one that splits unevenly three levels deep
+    # sizes around the direct triangle, one that splits unevenly three levels
+    # deep, and two the halves route splits twice above INVERSE_BLOCK
     rng = np.random.default_rng(size)
     x = rng.normal(size=(size, size))
     matrix = x @ x.T / size + 0.05 * np.eye(size)
     before = matrix.copy()
     inverse = spd_inverse(matrix)
-    np.testing.assert_allclose(inverse, np.linalg.inv(matrix), rtol=0.0, atol=1e-10 * np.abs(inverse).max())
-    np.testing.assert_allclose(inverse @ matrix, np.eye(size), atol=1e-9)
+    # the inverse is written over the argument
+    assert inverse is matrix
+    np.testing.assert_allclose(inverse, np.linalg.inv(before), rtol=0.0, atol=1e-10 * np.abs(inverse).max())
+    np.testing.assert_allclose(inverse @ before, np.eye(size), atol=1e-9)
     assert np.array_equal(inverse, inverse.T)
-    assert np.array_equal(matrix, before)
 
 
 def test_spd_inverse_rejects_an_indefinite_matrix():
     with pytest.raises(np.linalg.LinAlgError):
         spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # positive definite in each half, but not in the Schur complement of the first
+    size, half = INVERSE_BLOCK + 44, (INVERSE_BLOCK + 44) // 2
+    matrix = np.eye(size)
+    matrix[half:, :half] = matrix[:half, half:] = 2.0 * np.eye(half)
+    assert np.linalg.eigvalsh(matrix).min() < 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        spd_inverse(matrix)
+
+
+def test_spd_inverse_refuses_an_argument_it_cannot_overwrite():
+    # an integer array would take the inverse truncated to integers
+    for matrix in (np.eye(3, dtype=int), [[2.0, 0.0], [0.0, 2.0]], np.ones((2, 3))):
+        with pytest.raises(ValueError, match="square float64 array"):
+            spd_inverse(matrix)
 
 
 def bfs_components(W):

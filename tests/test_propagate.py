@@ -10,6 +10,8 @@ pooled stay, against the per-row weighted blend of learners that pooling
 replaced.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,30 @@ def test_propagate_round_rejects_indices_outside_the_graph_fractional_or_masked(
     with pytest.raises(ValueError, match=f"^{argument} {message}$"):
         propagate_round(initial, random_graph(np.random.default_rng(35), 10), rows["curriculum"],
                         np.zeros(10), rows["learned"], initial)
+
+
+def test_propagate_round_rejects_a_previous_state_not_one_row_per_node():
+    # a 20-row state on a 10-node graph used to come back with 20 rows
+    labels = np.full(20, -1)
+    labels[:2] = [0, 1]
+    F = init_labels(labels, 2)
+    g = random_graph(np.random.default_rng(35), 10)
+    for previous in (F, F[:5], F[:, 0]):
+        with pytest.raises(ValueError, match=rf"previous must hold one row per node, shape \(10, classes\), "
+                                             rf"not {re.escape(str(previous.shape))}"):
+            propagate_round(previous, g, [3], np.zeros(10), [], previous)
+
+
+def test_propagate_round_rejects_an_initial_state_of_another_shape():
+    # an initial state of 5 rows used to turn a 10-row state into a 5-row one
+    labels = np.full(10, -1)
+    labels[:2] = [0, 1]
+    F = init_labels(labels, 2)
+    g = random_graph(np.random.default_rng(35), 10)
+    for initial in (F[:5], init_labels(labels, 3), F.ravel()):
+        message = rf"initial has shape {re.escape(str(initial.shape))} but previous has shape \(10, 2\)"
+        with pytest.raises(ValueError, match=message):
+            propagate_round(F, g, [3], np.zeros(10), [], initial)
 
 
 @pytest.mark.parametrize("share", [3.0, 1.0, -0.5, np.nan])

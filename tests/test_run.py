@@ -385,7 +385,8 @@ def test_graph_work_runs_once_per_group_of_equal_edges(monkeypatch):
 def test_prior_is_built_once_per_teacher(monkeypatch):
     # make_teacher inverts L + P0 once for L+, and the first round inverts the
     # prior precision over every node and downdates the anchors out; later
-    # rounds only downdate, so a run makes exactly two n x n inverses
+    # rounds only downdate, so a run makes exactly two n x n inverses.  At
+    # n = 300 each is made by halves, which call no spd_inverse of their own
     inverse, sizes = hydent.graph.spd_inverse, []
 
     def spy(matrix):
@@ -394,7 +395,8 @@ def test_prior_is_built_once_per_teacher(monkeypatch):
 
     for module in (hydent.graph, hydent.teacher):
         monkeypatch.setattr(module, "spd_inverse", spy)
-    dataset, labeled_idx, _, config = small_problem(seed=3)
+    dataset, labeled_idx, _, config = small_problem(seed=3, n=150)
+    assert dataset.n > hydent.graph.INVERSE_BLOCK
     result = run_hydent(dataset, labeled_idx, config)
     assert sum(r.converged is not None for r in result.rounds) > 1
     assert sizes == [(dataset.n, dataset.n)] * 2

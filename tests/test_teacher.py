@@ -14,6 +14,7 @@ path the commute time between two nodes is their hop distance, so the
 discriminability cases are laid out on paths.
 """
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 import dense_oracle as oracle
 from dense_oracle import dense, graph_of
 from hydent.data import synth_noisy_gaussian
-from hydent.graph import assemble, components, gaussian_weights, knn_pattern
+from hydent.graph import assemble, components, gaussian_weights, knn_pattern, spd_inverse
 from hydent.teacher import (
     GAP_FLOOR,
     TeacherState,
@@ -122,6 +123,28 @@ def test_make_teacher_bundles_state():
     assert teacher.sigma is None and teacher.free is None
     np.testing.assert_allclose(teacher.pinv, [[0.25, -0.25], [-0.25, 0.25]], rtol=0.0, atol=1e-15)
     assert oracle.commute_times(teacher.pinv)[0, 1] == pytest.approx(1.0, abs=1e-12)
+
+
+def traced_peak(call):
+    """Bytes ``call()`` holds at its peak beyond what existed before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_teacher_inverses_are_made_in_place():
+    # at n = 600 an out-of-place inverse holds about 2.0 n x n arrays beyond its
+    # input, and make_teacher about 3.0 with L+ itself
+    n = 600
+    rng = np.random.default_rng(600)
+    x = rng.normal(size=(n, n))
+    matrix = x @ x.T / n + 0.05 * np.eye(n)
+    assert traced_peak(lambda: spd_inverse(matrix)) <= 0.6 * matrix.nbytes
+    g = assemble(gaussian_weights(knn_pattern(synth_noisy_gaussian(n // 2, 1.0, seed=1).features, 5), 1.0))
+    assert traced_peak(lambda: make_teacher(g)) <= 1.6 * matrix.nbytes
 
 
 def test_reliability_two_node_scalar():
