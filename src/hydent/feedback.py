@@ -20,12 +20,15 @@ def feedback_value(scores: np.ndarray, class_count: int, gamma: float = 0.5) -> 
     """g in (0, 1] from the just-learned rows of the score matrix, one column per class.
 
     Entries at zero contribute nothing (the 0 log 0 = 0 convention).
+    ``gamma`` must be finite and positive, as :class:`~hydent.run.RunConfig` requires.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[0] == 0:
         raise ValueError("need a nonempty matrix of learned rows")
     if class_count < 2:
         raise ValueError("need at least two classes")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if scores.shape[1] != class_count:
         raise ValueError(f"scores must hold one column per class, {class_count}, not {scores.shape[1]}")
     if not np.all(np.isfinite(scores)) or scores.min() < 0.0:

@@ -11,11 +11,12 @@ them, and precomputes the degree vector and the row-stochastic iteration
 matrix on the same edges.  Teachers read two dense inverses built from
 the Laplacian, and :func:`pseudoinverse` is one of them; both come from
 :func:`spd_inverse`, which overwrites a symmetric positive-definite matrix
-with its inverse, by halves over Schur complements down to blocks inverted
-through their Cholesky factors.  So no run computes an eigendecomposition,
-and no inverse needs a second n x n array.  The graph's cached
-dense ``laplacian`` and its spectrum are computed only when read: the
-benchmark tracer (``bench/tracing.py``) and tests read them, no run does.
+with its inverse by one recursion: by halves over Schur complements down to
+blocks of order at most 64, each inverted through its Cholesky factor.  So
+no run computes an eigendecomposition, and no inverse needs a second n x n
+array.  The graph's cached dense ``laplacian`` and its spectrum are computed
+only when read: the benchmark tracer (``bench/tracing.py``) and tests read
+them, no run does.
 """
 
 from __future__ import annotations
@@ -35,16 +36,12 @@ CHUNK_ENTRIES = 1 << 18
 # timings are in CHANGES.md).
 SWEEP_BLOCK = 128
 
-# spd_inverse inverts a triangular block of at most this order directly and
-# splits a larger one in halves joined by matrix products.
-TRIANGLE_BLOCK = 64
+# spd_inverse splits a matrix in halves joined over the Schur complement
+# down to blocks of at most this order, each inverted through its Cholesky factor.
+INVERSE_BLOCK = 64
 
-# spd_inverse inverts a matrix of at most this order through its Cholesky
-# factor and splits a larger one in halves joined over the Schur complement.
-INVERSE_BLOCK = 256
-
-# Rows of a dense n x n array spd_inverse and pseudoinverse rewrite at a time,
-# so a panel's temporaries stay a small share of the array.
+# Rows of a dense n x n array rewritten at a time (the inverse's mirror, P0 and
+# a teacher's downdate), so a panel's temporaries stay a small share of the array.
 PANEL_ROWS = 64
 
 
@@ -208,12 +205,14 @@ def knn_pattern(features: np.ndarray, k: int) -> Edges:
     estimates.
 
     Fails on input that is not a 2-D array of finite values whose squared
-    norms are finite.
+    norms are finite, and on a k that is not an integer in [1, n).
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
         raise ValueError(f"features must be a 2-D array with one row per point, got shape {features.shape}")
     n, d = features.shape
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be positive")
     if k >= n:
@@ -391,22 +390,6 @@ def components(graph: LearnerGraph) -> np.ndarray:
         labels = lowest
 
 
-def _lower_inverse(lower: np.ndarray) -> None:
-    """Overwrite the lower-triangular ``lower`` with its inverse.
-
-    With lower = [[A, 0], [B, C]], the inverse is [[A^-1, 0], [-C^-1 B A^-1, C^-1]];
-    numpy has no triangular solve, so the halves are joined by matrix products.
-    """
-    n = lower.shape[0]
-    if n <= TRIANGLE_BLOCK:
-        lower[...] = np.tril(np.linalg.inv(lower))
-        return
-    half = n // 2
-    _lower_inverse(lower[:half, :half])
-    _lower_inverse(lower[half:, half:])
-    lower[half:, :half] = -(lower[half:, half:] @ (lower[half:, :half] @ lower[:half, :half]))
-
-
 def _panels(rows: int) -> list:
     """Slices of ``PANEL_ROWS`` consecutive rows covering [0, ``rows``)."""
     return [slice(start, min(rows, start + PANEL_ROWS)) for start in range(0, rows, PANEL_ROWS)]
@@ -417,25 +400,25 @@ def _mirror_lower(matrix: np.ndarray, rows: int) -> None:
     for panel in _panels(rows):
         matrix[panel, panel.stop:] = matrix[panel.stop:, panel].T
         square = matrix[panel, panel]
-        upper = np.triu_indices(panel.stop - panel.start, 1)
-        square[upper] = square.T[upper]
+        # a masked copy, several times faster on a panel than indexing its upper triangle
+        np.copyto(square, square.T, where=~np.tri(panel.stop - panel.start, dtype=bool))
 
 
 def _invert_by_halves(matrix: np.ndarray) -> None:
     """Overwrite the symmetric positive-definite ``matrix`` with its inverse, read from its lower triangle.
 
-    A matrix of order at most ``INVERSE_BLOCK`` is inverted as K^T K for
-    K = F^-1, F its Cholesky factor, inverted in F's own buffer.  A larger
-    one, [[A, B^T], [B, C]], is inverted by halves over the Schur complement
+    [[A, B^T], [B, C]] is inverted by halves over the Schur complement
     S = C - B A^-1 B^T: with T = B A^-1, the inverse is
     [[A^-1 + T^T S^-1 T, (-S^-1 T)^T], [-S^-1 T, S^-1]] (block LDL^T; Golub &
     Van Loan, *Matrix Computations*, sec. 4.2).  T is the only array the
-    step keeps; every result is written over the block it replaces.
+    step keeps; every result is written over the block it replaces.  The
+    halves recurse down to blocks of order at most ``INVERSE_BLOCK``, each
+    inverted as K^T K for K = F^-1, F its Cholesky factor, which also
+    tells a matrix that is not positive definite.
     """
     n = matrix.shape[0]
     if n <= INVERSE_BLOCK:
-        factor = np.linalg.cholesky(matrix)
-        _lower_inverse(factor)
+        factor = np.tril(np.linalg.inv(np.linalg.cholesky(matrix)))
         np.matmul(factor.T, factor, out=matrix)
         return
     half = n // 2

@@ -292,7 +292,7 @@ def paired_t_test(accuracies_a, accuracies_b):
     Returns ``(t, significant)``.  Zero-variance differences are decided
     degenerately: a positive mean is certain improvement, anything else is
     not significant.  The test is at confidence 0.9, whose critical values
-    are built in.
+    are built in.  Non-finite accuracies are refused.
     """
     a = np.asarray(accuracies_a, dtype=float)
     b = np.asarray(accuracies_b, dtype=float)
@@ -301,6 +301,8 @@ def paired_t_test(accuracies_a, accuracies_b):
     if a.size < 2:
         raise ValueError("need at least two paired runs")
     diff = a - b
+    if not np.isfinite(diff).all():
+        raise ValueError("accuracies must be finite")
     mean = float(diff.mean())
     sd = float(diff.std(ddof=1))
     df = diff.size - 1

@@ -32,14 +32,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import LearnerGraph, _indices, pseudoinverse, spd_inverse
+from .graph import LearnerGraph, _indices, _panels, pseudoinverse, spd_inverse
 
 # Ties in average commute time would make 1/gap blow up; a tied candidate is
 # simply non-discriminable, so its gap is floored at a small positive value.
 GAP_FLOOR = 1e-8
-
-# Rows of a running covariance rewritten at a time; bounds a downdate's temporaries.
-ROW_BLOCK = 256
 
 
 @dataclass(eq=False)
@@ -70,10 +67,11 @@ def make_teacher(graph: LearnerGraph, kappa2: float = 100.0) -> TeacherState:
     computed here, so set-up, not the first round, pays for it.
 
     ``kappa2`` sharpens or flattens the prior; the Laplacian is PSD, so the
-    precision is positive definite for any finite positive kappa2.
+    precision is positive definite for any finite positive kappa2, and
+    any other kappa2 is refused.
     """
-    if kappa2 <= 0:
-        raise ValueError("kappa2 must be positive")
+    if not 0.0 < kappa2 < np.inf:
+        raise ValueError(f"kappa2 must be finite and positive, got {kappa2}")
     return TeacherState(graph, kappa2, pseudoinverse(graph))
 
 
@@ -134,18 +132,19 @@ def _schur_downdate(sigma: np.ndarray, keep: np.ndarray, cross: np.ndarray, bloc
     """``sigma[keep][:, keep] - cross^T block^-1 cross``, written over sigma's own buffer.
 
     ``block`` (the dropped nodes' covariance) is inverted through its
-    Cholesky factor.  Rows are rewritten ``ROW_BLOCK`` at a time from the
-    front; row i of the result lands before old row keep[i] >= i, so no row
-    is overwritten before it is read and no second square array is made.
+    Cholesky factor.  Rows are rewritten a row panel at a time from the
+    front (see :func:`hydent.graph._panels`); row i of the result lands
+    before old row keep[i] >= i, so no row is overwritten before it is read
+    and no second square array is made.
     """
     w = np.linalg.solve(np.linalg.cholesky(block), cross)
     size, m = sigma.shape[0], keep.size
     flat = sigma.reshape(-1)
-    for start in range(0, m, ROW_BLOCK):
+    for panel in _panels(m):
         # a gather from flat indices is several times faster than sigma[np.ix_(...)]
-        rows = flat.take(keep[start:start + ROW_BLOCK, None] * size + keep)
-        rows -= w[:, start:start + ROW_BLOCK].T @ w
-        flat[start * m:start * m + rows.size] = rows.reshape(-1)
+        rows = flat.take(keep[panel, None] * size + keep)
+        rows -= w[:, panel].T @ w
+        flat[panel.start * m:panel.start * m + rows.size] = rows.reshape(-1)
     return flat[: m * m].reshape(m, m)
 
 

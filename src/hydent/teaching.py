@@ -231,7 +231,8 @@ def bcd_solve(r_list, beta0: float, beta1: float, s: int, *, init=None) -> Teach
 
     The solve starts from ``init``, an (M, b, s) stack or a sequence of
     (b, s) blocks, when given, and from :func:`easiest_start` otherwise.
-    ``s`` is a positive integer, clamped to the pool size b.
+    ``s`` is a positive integer, clamped to the pool size b.  Scores or
+    weights whose starting objective is not finite are refused.
     """
     r = _scores(r_list)
     if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
@@ -245,6 +246,8 @@ def bcd_solve(r_list, beta0: float, beta1: float, s: int, *, init=None) -> Teach
     start = set(extract_curriculum(blocks, s).tolist())
 
     trace = [objective(blocks, r, beta0, beta1)]
+    if not np.isfinite(trace[0]):
+        raise ValueError("scores and weights must be finite")
     converged = False
     for _ in range(SWEEP_CAP):
         h = l21_weight_matrix(np.hstack(blocks))

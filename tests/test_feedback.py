@@ -61,6 +61,10 @@ def test_feedback_bounds_and_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="scores must be finite"):
             feedback_value(np.array([[bad, 0.5]]), 2)
+    # RunConfig's rule: gamma = -1 would read g = e, above 1, and NaN would read NaN
+    for gamma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            feedback_value(scores, 3, gamma=gamma)
 
 
 def test_feedback_rejects_scores_not_one_column_per_class():

@@ -22,7 +22,6 @@ from hydent.graph import (
     INVERSE_BLOCK,
     LearnerGraph,
     assemble,
-    TRIANGLE_BLOCK,
     components,
     flap_style_weights,
     gaussian_weights,
@@ -93,6 +92,11 @@ def test_knn_pattern_validates_k():
         knn_pattern(x, 0)
     with pytest.raises(ValueError):
         knn_pattern(x, 4)
+    # RunConfig's rule: a bool or a float is no k, a numpy integer is
+    for k in (True, 2.0, 2.5):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            knn_pattern(x, k)
+    assert knn_pattern(x, np.int64(2)).indptr.size == 5
 
 
 def test_knn_pattern_leaves_distances_unchanged():
@@ -514,10 +518,10 @@ def test_pseudoinverse_matches_numpy_pinv():
         assert np.array_equal(pinv, pinv.T)
 
 
-@pytest.mark.parametrize("size", [1, 2, TRIANGLE_BLOCK - 1, TRIANGLE_BLOCK, TRIANGLE_BLOCK + 1, 257, 513, 1000])
+@pytest.mark.parametrize("size", [1, 2, INVERSE_BLOCK - 1, INVERSE_BLOCK, INVERSE_BLOCK + 1, 257, 513, 1000])
 def test_spd_inverse_matches_numpy_inv(size):
-    # sizes around the direct triangle, one that splits unevenly three levels
-    # deep, and two the halves route splits twice above INVERSE_BLOCK
+    # sizes around the Cholesky leaf, one that splits unevenly three levels
+    # deep, and two the halves split four levels deep
     rng = np.random.default_rng(size)
     x = rng.normal(size=(size, size))
     matrix = x @ x.T / size + 0.05 * np.eye(size)

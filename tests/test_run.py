@@ -644,6 +644,10 @@ def test_paired_t_test_validation():
         paired_t_test([0.5], [0.4])
     with pytest.raises(ValueError):
         paired_t_test([0.5, 0.6], [0.4])
+    # a NaN would read as t = nan, not significant
+    for a in ([0.5, np.nan, 0.7], [0.5, np.inf, 0.7]):
+        with pytest.raises(ValueError, match="accuracies must be finite"):
+            paired_t_test(a, [0.4, 0.5, 0.6])
 
 
 def test_round_moved_tells_whether_the_solve_left_its_start(monkeypatch):

@@ -492,6 +492,16 @@ def test_bcd_solve_rejects_bad_sizes():
     assert bcd_solve([np.eye(3)], 1.0, 1.0, np.int64(2)).curriculum.size == 2
 
 
+def test_bcd_solve_rejects_non_finite_scores_and_weights():
+    # each would otherwise fail inside exact_step, on the companion matrix
+    bad_scores = np.eye(3)
+    bad_scores[0, 2] = bad_scores[2, 0] = np.nan
+    for r, beta0, beta1 in ((bad_scores, 1.0, 1.0), (np.diag([1.0, np.inf, 2.0]), 1.0, 1.0),
+                            (np.eye(3), np.nan, 1.0), (np.eye(3), 1.0, np.inf)):
+        with pytest.raises(ValueError, match="scores and weights must be finite"), np.errstate(invalid="ignore"):
+            bcd_solve([r], beta0, beta1, 2)
+
+
 def two_guard_solve(r_list, beta0, beta1, s, init=None):
     """The solver's former loop at its numerics, kept only as an oracle.
 
