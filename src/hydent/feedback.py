@@ -20,7 +20,7 @@ def feedback_value(scores: np.ndarray, class_count: int, gamma: float = 0.5) -> 
     """g in (0, 1] from the just-learned rows of the score matrix, one column per class.
 
     Entries at zero contribute nothing (the 0 log 0 = 0 convention).
-    ``gamma`` must be finite and positive, as :class:`~hydent.run.RunConfig` requires.
+    ``gamma`` must be finite and positive with exp(-gamma) > 0, as :class:`~hydent.run.RunConfig` requires.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[0] == 0:
@@ -29,6 +29,8 @@ def feedback_value(scores: np.ndarray, class_count: int, gamma: float = 0.5) -> 
         raise ValueError("need at least two classes")
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    if math.exp(-gamma) == 0.0:
+        raise ValueError(f"gamma={gamma} is too large: exp(-gamma), the feedback of uniform rows, underflows to 0")
     if scores.shape[1] != class_count:
         raise ValueError(f"scores must hold one column per class, {class_count}, not {scores.shape[1]}")
     if not np.all(np.isfinite(scores)) or scores.min() < 0.0:

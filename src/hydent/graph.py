@@ -40,8 +40,8 @@ SWEEP_BLOCK = 128
 # down to blocks of at most this order, each inverted through its Cholesky factor.
 INVERSE_BLOCK = 64
 
-# Rows of a dense n x n array rewritten at a time (the inverse's mirror, P0 and
-# a teacher's downdate), so a panel's temporaries stay a small share of the array.
+# Rows of a dense n x n array rewritten at a time (the inverse's mirror and P0),
+# so a panel's temporaries stay a small share of the array.
 PANEL_ROWS = 64
 
 

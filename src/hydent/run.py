@@ -15,9 +15,9 @@ and the closure averages their limits.
 Every learner shares one sparse kNN graph, built once per run: a learner
 is its stay vector over that graph (see ``propagate.py``), and one teacher
 judges for all of them.  A run without teachers holds no n x n array; a
-taught run's only ones are the teacher's Laplacian pseudoinverse and its
-running covariance, each inverted in its own buffer, so they are also its
-peak: L+ plus Sigma, and temporaries of order n / 2.
+taught run's only ones are the teacher's L+ and its prior covariance, each
+inverted in its own buffer, which then also holds the anchors' Cholesky
+rows, so they are also its peak, with temporaries of order n / 2.
 
 Ablation variants reuse the same driver so that, for example, the full
 method with one learner and the coupling weight at zero reproduces the

@@ -9,20 +9,20 @@ score matrix over the current candidate pool, and both are read from two
 dense inverses a teacher holds.
 
 Reliability comes from the GP prior precision Q = Laplacian + I / kappa2:
-given the anchored nodes, the candidates' conditional covariance is their
-block of (Q_RR)^-1, R being the nodes not yet anchored (Rue & Held, *Gaussian
-Markov Random Fields*, 2005, ch. 2).  Each teacher keeps the running
-conditional covariance Sigma of R for the run: its first
-``teaching_matrix`` call inverts Q, in Q's own buffer, for the prior over
-every node, and every call removes the nodes anchored since, by the Schur
-downdate Sigma <- Sigma - Sigma_.C Sigma_CC^-1 Sigma_C., so a later round
-costs O(|R|^2 |C|) instead of an O(|R|^3) inverse.
+given the anchored nodes A, the candidates' conditional covariance is their
+block of Sigma0_RR - W^T W, R being the nodes not yet anchored, Sigma0 = Q^-1
+the prior and W = F^-1 Sigma0_AR for F the Cholesky factor of Sigma0_AA (Rue
+& Held, *Gaussian Markov Random Fields*, 2005, ch. 2).  A teacher's first
+``teaching_matrix`` call inverts Q in Q's own buffer, and every call extends F
+and W left-looking by the nodes anchored since (Golub & Van Loan, *Matrix
+Computations*, sec. 4.2): O(|P| |A| |R|) flops for P new anchors, and no
+|R| x |R| array is rewritten.
 
 Discriminability reads class-mean commute times off L+, the Laplacian's
 pseudoinverse, which ``make_teacher`` computes once per run as
 (L + P0)^-1 - P0 (see :func:`hydent.graph.pseudoinverse`).  Both inverses
-are made in place, so a teacher's dense arrays at their peak are L+ and
-Sigma plus temporaries of order n / 2.
+are made in place, so a teacher's dense arrays at their peak are L+ and the
+prior's buffer plus temporaries of order n / 2.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import LearnerGraph, _indices, _panels, pseudoinverse, spd_inverse
+from .graph import LearnerGraph, _indices, pseudoinverse, spd_inverse
 
 # Ties in average commute time would make 1/gap blow up; a tied candidate is
 # simply non-discriminable, so its gap is floored at a small positive value.
@@ -46,10 +46,10 @@ class TeacherState:
     A teacher judges from the run's ``graph`` and ``kappa2`` alone, so every
     learner of the run shares one state; a second :func:`teaching_matrix`
     call with the same anchors only reads it.  ``pinv`` is the graph
-    Laplacian's pseudoinverse L+.  ``sigma`` is the conditional covariance
-    of the ascending nodes ``free`` given the label of every other node:
-    the first :func:`teaching_matrix` call starts it from the prior, and
-    every call downdates it; a call that drops an anchor raises.
+    Laplacian's pseudoinverse L+.  With m nodes ``free``, row i of the n x n
+    ``sigma`` holds node ``free[i]``'s prior covariance with the free nodes
+    in ``[:m]`` and its column of W in ``[m:]``; every :func:`teaching_matrix`
+    call extends W, and a call that drops an anchor raises.
     """
 
     graph: LearnerGraph
@@ -128,34 +128,15 @@ def gap_matrix(
     return np.diag(1.0 / gaps)
 
 
-def _schur_downdate(sigma: np.ndarray, keep: np.ndarray, cross: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``sigma[keep][:, keep] - cross^T block^-1 cross``, written over sigma's own buffer.
-
-    ``block`` (the dropped nodes' covariance) is inverted through its
-    Cholesky factor.  Rows are rewritten a row panel at a time from the
-    front (see :func:`hydent.graph._panels`); row i of the result lands
-    before old row keep[i] >= i, so no row is overwritten before it is read
-    and no second square array is made.
-    """
-    w = np.linalg.solve(np.linalg.cholesky(block), cross)
-    size, m = sigma.shape[0], keep.size
-    flat = sigma.reshape(-1)
-    for panel in _panels(m):
-        # a gather from flat indices is several times faster than sigma[np.ix_(...)]
-        rows = flat.take(keep[panel, None] * size + keep)
-        rows -= w[:, panel].T @ w
-        flat[panel.start * m:panel.start * m + rows.size] = rows.reshape(-1)
-    return flat[: m * m].reshape(m, m)
-
-
 def _condition(teacher: TeacherState, anchored: np.ndarray) -> None:
-    """Bring ``teacher.sigma`` to the covariance of the nodes outside the mask ``anchored``.
+    """Condition ``teacher.sigma`` on every node of the mask ``anchored``.
 
-    A teacher's first call starts ``sigma`` from the prior over every node,
-    the inverse of the precision built from the graph's edges.  Every call
-    then downdates out the anchors ``sigma`` is not yet conditioned on.  A
-    run's anchors only grow, so conditioning only runs forward: anchors that
-    are not a superset of the last call's are refused.
+    The first call fills ``sigma`` with the prior over every node, the
+    inverse of the precision built from the graph's edges.  Every call
+    appends the anchors not yet in W, in node order, as H^-1 ``cross``:
+    ``cross`` is their conditional covariance with the free nodes, H its
+    Cholesky factor over themselves.  Anchors only grow: a call whose
+    anchors are not a superset of the last call's is refused.
     """
     n = teacher.graph.n
     if teacher.sigma is None:
@@ -166,12 +147,20 @@ def _condition(teacher: TeacherState, anchored: np.ndarray) -> None:
         teacher.sigma = spd_inverse(precision)
     elif anchored.sum() - anchored[teacher.free].sum() != n - teacher.free.size:
         raise ValueError("anchors must include the last call's; score fewer with a new make_teacher")
-    drop = anchored[teacher.free]
-    if drop.any():
-        new, keep = np.flatnonzero(drop), np.flatnonzero(~drop)
-        sigma = teacher.sigma
-        teacher.sigma = _schur_downdate(sigma, keep, sigma[np.ix_(new, keep)], sigma[np.ix_(new, new)])
-        teacher.free = teacher.free[keep]
+    sigma, free, m = teacher.sigma, teacher.free, teacher.free.size
+    new = np.flatnonzero(anchored[free])
+    new = new[np.argsort(free[new])]
+    cross = sigma[new, :m] - sigma[new, m:] @ sigma[:m, m:].T
+    w = np.tril(np.linalg.inv(np.linalg.cholesky(cross[:, new]))) @ cross
+    # the last free nodes move into the new anchors' slots and W's new rows into the prior
+    # columns they vacate; the prior block is exactly symmetric, so its columns are read as rows
+    rest = m - new.size
+    slots, movers = new[new < rest], rest + np.flatnonzero(~anchored[free[rest:]])
+    sigma[:m, slots] = sigma[movers, :m].T
+    sigma[:m, rest:m] = w.T
+    sigma[slots] = sigma[movers]
+    free[slots] = free[movers]
+    teacher.free = free[:rest]
 
 
 def teaching_matrix(
@@ -183,8 +172,8 @@ def teaching_matrix(
 
     Every labeled node is an anchor, and each call's anchors must include
     the last call's.  The reliability term is the candidates' block of the
-    conditional covariance given the anchors, symmetrized; it is read from
-    the teacher's running covariance, brought up to these anchors first.
+    conditional covariance given the anchors, symmetrized: the candidates'
+    prior block less W^T W over them, W brought up to these anchors first.
     With fewer than two nonempty classes the discriminability term is zero,
     so the result is the reliability block alone.  Candidates and class
     members are node indices in [0, n); candidates must be distinct and
@@ -200,7 +189,13 @@ def teaching_matrix(
         anchored[_indices(members, f"class {label}", n)] = True
     if anchored[candidates].any():
         raise ValueError("candidates must not overlap the anchors")
+    # the gaps first, so that their gathers and the candidates' rows of W are never held at once
+    gaps = gap_matrix(teacher, candidates, labeled_by_class)
     _condition(teacher, anchored)
-    at = np.searchsorted(teacher.free, candidates)
-    block = teacher.sigma[np.ix_(at, at)]
-    return 0.5 * (block + block.T) + gap_matrix(teacher, candidates, labeled_by_class)
+    m = teacher.free.size
+    at = np.empty(n, dtype=np.intp)
+    at[teacher.free] = np.arange(m)
+    at = at[candidates]
+    w = teacher.sigma[at, m:]
+    block = teacher.sigma[np.ix_(at, at)] - w @ w.T
+    return 0.5 * (block + block.T) + gaps

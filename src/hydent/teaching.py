@@ -171,12 +171,21 @@ def exact_step(coefficients) -> np.ndarray:
     return np.take_along_axis(t, np.argmin(gain, axis=-1)[..., None], axis=-1)[..., 0]
 
 
+def _check_size(s) -> None:
+    """Refuse a curriculum size ``s`` that is not a positive integer."""
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+        raise ValueError(f"curriculum size must be an integer, got {s!r}")
+    if s < 1:
+        raise ValueError("curriculum size must be positive")
+
+
 def extract_curriculum(blocks, s: int) -> np.ndarray:
     """The curriculum: the ``min(s, b)`` rows of largest 2-norm in the stacked matrix.
 
     Returns their positions in the candidate pool, in rank order; ties go
-    to the lower position.
+    to the lower position.  ``s`` is a positive integer.
     """
+    _check_size(s)
     norms = np.linalg.norm(np.hstack(blocks), axis=1)
     return np.argsort(-norms, kind="stable")[:s]
 
@@ -231,14 +240,15 @@ def bcd_solve(r_list, beta0: float, beta1: float, s: int, *, init=None) -> Teach
 
     The solve starts from ``init``, an (M, b, s) stack or a sequence of
     (b, s) blocks, when given, and from :func:`easiest_start` otherwise.
-    ``s`` is a positive integer, clamped to the pool size b.  Scores or
-    weights whose starting objective is not finite are refused.
+    ``s`` is a positive integer, clamped to the pool size b > 0.  Negative
+    weights and a starting objective that is not finite are refused.
     """
     r = _scores(r_list)
-    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-        raise ValueError(f"curriculum size must be an integer, got {s!r}")
-    if s < 1:
-        raise ValueError("curriculum size must be positive")
+    _check_size(s)
+    if r.shape[1] == 0:
+        raise ValueError("the candidate pool is empty; need at least one candidate to select from")
+    if beta0 < 0 or beta1 < 0:
+        raise ValueError(f"beta0 and beta1 must be nonnegative, got {beta0} and {beta1}")
     s = min(s, r.shape[1])
     blocks = easiest_start(r, s) if init is None else _as_stack(init, r)[0].copy()
     if blocks.shape[2] != s:

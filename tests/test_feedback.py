@@ -65,6 +65,10 @@ def test_feedback_bounds_and_validation():
     for gamma in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma must be finite and positive"):
             feedback_value(scores, 3, gamma=gamma)
+    # RunConfig's other rule: exp(-800) underflows, and g would read 0, outside (0, 1]
+    with pytest.raises(ValueError, match=r"gamma=800\.0 is too large"):
+        feedback_value(np.full((3, 2), 0.5), 2, gamma=800.0)
+    assert feedback_value(np.full((3, 2), 0.5), 2, gamma=700.0) > 0.0
 
 
 def test_feedback_rejects_scores_not_one_column_per_class():

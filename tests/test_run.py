@@ -219,7 +219,7 @@ def test_teacher_reads_its_graph_and_builds_no_commute_table(monkeypatch):
     assert teacher.graph is graphs[0] and teacher.pinv is inverses[0]
     square = [f.name for f in dataclasses.fields(teacher)
               if np.shape(getattr(teacher, f.name)) == (dataset.n, dataset.n)]
-    # sigma has shrunk with every anchored node by the end of the run
+    # sigma, the prior and the anchors' factor in one buffer, stays n x n all run
     assert "pinv" in square and set(square) <= {"sigma", "pinv"}
     assert not {"laplacian", "_spectrum"} & set(vars(graphs[0]))
 
@@ -384,8 +384,8 @@ def test_graph_work_runs_once_per_group_of_equal_edges(monkeypatch):
 
 def test_prior_is_built_once_per_teacher(monkeypatch):
     # make_teacher inverts L + P0 once for L+, and the first round inverts the
-    # prior precision over every node and downdates the anchors out; later
-    # rounds only downdate, so a run makes exactly two n x n inverses.  At
+    # prior precision over every node and conditions it on the anchors; later
+    # rounds only extend the anchors' factor, so a run makes exactly two n x n inverses.  At
     # n = 300 each is made by halves, which call no spd_inverse of their own
     inverse, sizes = hydent.graph.spd_inverse, []
 

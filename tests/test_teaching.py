@@ -492,6 +492,31 @@ def test_bcd_solve_rejects_bad_sizes():
     assert bcd_solve([np.eye(3)], 1.0, 1.0, np.int64(2)).curriculum.size == 2
 
 
+def test_extract_curriculum_rejects_bad_sizes():
+    # -1 once returned all but the last row through a negative slice, and 0 no row
+    blocks = [np.eye(3)]
+    with pytest.raises(ValueError, match="curriculum size must be positive"):
+        extract_curriculum(blocks, -1)
+    with pytest.raises(ValueError, match="curriculum size must be positive"):
+        extract_curriculum(blocks, 0)
+    for s in (2.5, True):
+        with pytest.raises(ValueError, match=rf"curriculum size must be an integer, got {re.escape(repr(s))}"):
+            extract_curriculum(blocks, s)
+
+
+def test_bcd_solve_rejects_an_empty_pool():
+    # it once failed at blocks.min() with "zero-size array to reduction operation"
+    with pytest.raises(ValueError, match="candidate pool is empty"):
+        bcd_solve([np.zeros((0, 0))], 1.0, 1.0, 1)
+
+
+def test_bcd_solve_rejects_negative_weights():
+    # RunConfig's rule; a negative weight once ran without a word
+    for beta0, beta1 in ((-1.0, 1.0), (1.0, -0.5)):
+        with pytest.raises(ValueError, match="beta0 and beta1 must be nonnegative"):
+            bcd_solve([np.eye(3)], beta0, beta1, 2)
+
+
 def test_bcd_solve_rejects_non_finite_scores_and_weights():
     # each would otherwise fail inside exact_step, on the companion matrix
     bad_scores = np.eye(3)
