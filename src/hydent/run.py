@@ -103,7 +103,8 @@ class RoundRecord:
     ``converged`` and ``moved`` are the round's selection solve's flags
     (see :class:`~hydent.teaching.TeachingSolution`): whether it converged,
     and whether its curriculum differs, as a set, from the one its start
-    reads as.  Both are None for rounds without a solve (no-teaching
+    reads as.  ``solve_seconds`` is the wall time of that solve, part of
+    ``seconds``.  All three are None for rounds without a solve (no-teaching
     variants, and rounds whose requested size covers the whole pool).
     """
 
@@ -116,6 +117,7 @@ class RoundRecord:
     curriculum: np.ndarray
     converged: bool | None
     moved: bool | None
+    solve_seconds: float | None
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,9 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
             by_class = _classes_so_far(masked, learned, scores, c)
             # one teacher judges for every learner; the solve takes a score matrix per learner
             r_list = [teaching_matrix(teacher, candidates, by_class)] * len(stays)
+            solve_started = time.perf_counter()
             solution = bcd_solve(r_list, config.beta0, config.beta1, size)
+            solve_seconds = time.perf_counter() - solve_started
             chosen = candidates[solution.curriculum]
             objective = solution.objective_trace
             converged = solution.converged
@@ -228,7 +232,7 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
         else:
             chosen = candidates
             objective = np.empty(0)
-            converged = moved = None
+            converged = moved = solve_seconds = None
 
         scores = propagate_round(scores, graph, chosen, pooled, learned, start)
         feedback = feedback_value(scores[chosen], c, config.gamma)
@@ -245,6 +249,7 @@ def _drive(dataset, labeled_idx, config, teaching, variant, round_hook):
             curriculum=chosen,
             converged=converged,
             moved=moved,
+            solve_seconds=solve_seconds,
         )
         records.append(record)
         if round_hook is not None:
@@ -329,12 +334,16 @@ def result_to_json(result: RunResult) -> str:
 
 
 def write_rounds_csv(result: RunResult, path) -> None:
-    """Per-round trace: round, b, s, g, seconds, converged, moved (each flag 1, 0, or empty without a solve)."""
+    """Per-round trace: round, b, s, g, seconds, converged, moved, solve seconds.
+
+    Each flag is 1 or 0, and the last three columns are empty for a round without a solve.
+    """
     with open(path, "w") as handle:
         for r in result.rounds:
             converged, moved = ("" if flag is None else int(flag) for flag in (r.converged, r.moved))
+            solve = "" if r.solve_seconds is None else repr(r.solve_seconds)
             handle.write(f"{r.index},{r.pool_size},{r.size},{repr(r.feedback)},{repr(r.seconds)},"
-                         f"{converged},{moved}\n")
+                         f"{converged},{moved},{solve}\n")
 
 
 def write_bcd_trace_csv(result: RunResult, path) -> None:

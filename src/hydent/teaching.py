@@ -13,30 +13,34 @@ The solver holds the M blocks as one (M, b, s) array.  Each sweep refreshes
 the row-norm weights, which majorize the row-sparsity term and decouple the
 blocks, then moves every block along its negative gradient by the exact
 minimizing step: along a line each block's majorized objective is a quartic
-in the step length, so the step is a root of a cubic.  A sweep is kept only
-if it does not raise the full objective, so the objective trace is
-non-increasing.  :func:`surrogate`, :func:`gradient` and
-:func:`line_quartic` take one (b, s) block or the whole stack.
+read off two Gram products, minimized at a closed-form root of its cubic
+derivative.  A sweep is kept only if it does not raise the full objective.
+An iterate's products are formed once, for the guard that admits it and the
+sweep that leaves it; :func:`objective`, :func:`surrogate`, :func:`gradient`
+and :func:`line_quartic` wrap the same kernels.
 
-Every 0/1 block with orthonormal columns zeroes both penalties.  When the
-penalty weights are large against the scores, the solve settles next to
-whichever such block it starts near, so the start picks the curriculum.
-Unless given another start, :func:`bcd_solve` starts each teacher at its
-own best such block (:func:`easiest_start`), so the scores decide.
-
-The solver's numerics are the module constants below, read at call time.
+Every 0/1 block with orthonormal columns zeroes both penalties.  With
+penalty weights large against the scores, the solve settles next to
+whichever such block it starts near, so the start picks the curriculum; by
+default each teacher starts at its own best one (:func:`easiest_start`), so
+the scores decide.  The numerics are the module constants, read at call time.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 ZETA = 1e-8  # offset in the row-norm weights 1 / (2 ||row|| + ZETA); keeps zero rows finite
 EPSILON = 1e-4  # a sweep moving the stack less than this (Frobenius norm) ends the solve
 SWEEP_CAP = 300  # sweeps a solve may take before it stops unconverged
+
+# Row 3i + j has a 1 in column i + j: a flattened 3 x 3 array times this sums its antidiagonals.
+_ANTIDIAGONALS = (np.add.outer(np.arange(3), np.arange(3)).reshape(9, 1) == np.arange(5)).astype(float)
 
 
 def l21_norm(matrix: np.ndarray) -> float:
@@ -45,12 +49,15 @@ def l21_norm(matrix: np.ndarray) -> float:
 
 
 def l21_weight_matrix(stacked: np.ndarray) -> np.ndarray:
-    """Diagonal of the row-norm reweighting matrix: 1 / (2 ||row||_2 + ZETA).
+    """Diagonal h of the row-norm reweighting matrix, 1 / (2 ||row||_2 + ZETA).
 
-    tr(S' diag(h) S) reproduces the row-sparsity term exactly in the limit
-    ZETA -> 0; the small offset keeps the weights finite on zero rows.
+    tr(S' diag(h) S) is the row-sparsity term in the limit ZETA -> 0.
     """
-    return 1.0 / (2.0 * np.linalg.norm(stacked, axis=1) + ZETA)
+    return _row_weights(np.linalg.norm(stacked, axis=1))
+
+
+def _row_weights(norms: np.ndarray) -> np.ndarray:
+    return 1.0 / (2.0 * norms + ZETA)
 
 
 def _scores(r_list, b: int | None = None) -> np.ndarray:
@@ -74,51 +81,66 @@ def _as_stack(blocks, r_list):
     return np.asarray(blocks, dtype=float), _scores(r_list, np.shape(blocks[0])[0])
 
 
-def _total(x: np.ndarray):
-    """Sum over the last two axes: one value per block."""
-    return np.sum(x, axis=(-2, -1))
+class _Iterate(NamedTuple):
+    """An iterate S, one (b, s) block or an (M, b, s) stack, and what every evaluation at it reads."""
+
+    blocks: np.ndarray
+    rs: np.ndarray  # R S
+    gram: np.ndarray  # S'S
+    sq: np.ndarray  # S * S
+    norms: np.ndarray  # 2-norms of the stacked matrix's rows
+    terms: np.ndarray  # per block, tr(S'RS) plus both penalties: all but the row coupling
+    value: float  # the joint objective
 
 
-def _gram(x: np.ndarray) -> np.ndarray:
-    return np.swapaxes(x, -1, -2) @ x
-
-
-def _block_terms(block: np.ndarray, r: np.ndarray, beta1: float):
-    """tr(S'RS) plus both penalties, per block: everything but the row coupling."""
-    sq = block * block
-    eye = np.eye(block.shape[-1])
-    return _total(block * (r @ block) + beta1 * (sq - block) ** 2) + beta1 * _total((_gram(block) - eye) ** 2)
-
-
-def _value(blocks: np.ndarray, r: np.ndarray, beta0: float, beta1: float) -> float:
-    """The joint objective of an (M, b, s) stack under (M, b, b) scores."""
-    return float(beta0 * l21_norm(np.hstack(blocks)) + np.sum(_block_terms(blocks, r, beta1)))
+def _iterate(blocks: np.ndarray, r: np.ndarray, beta0: float, beta1: float) -> _Iterate:
+    rs, gram, sq = r @ blocks, blocks.swapaxes(-1, -2) @ blocks, blocks * blocks
+    eye = np.eye(blocks.shape[-1])
+    terms = (blocks * rs + beta1 * (sq - blocks) ** 2).sum(axis=(-2, -1))
+    terms += beta1 * ((gram - eye) ** 2).sum(axis=(-2, -1))
+    norms = np.linalg.norm(np.hstack(blocks) if blocks.ndim == 3 else blocks, axis=1)
+    return _Iterate(blocks, rs, gram, sq, norms, terms, float(beta0 * norms.sum() + terms.sum()))
 
 
 def objective(blocks, r_list, beta0: float, beta1: float) -> float:
-    """Full joint objective, with the row-sparsity term computed exactly.
-
-    ``blocks`` is a sequence of (b, s) blocks or an (M, b, s) stack.
-    """
-    return _value(*_as_stack(blocks, r_list), beta0, beta1)
+    """Full joint objective, row-sparsity term exact, of (b, s) blocks or an (M, b, s) stack."""
+    return _iterate(*_as_stack(blocks, r_list), beta0, beta1).value
 
 
 def surrogate(block: np.ndarray, r: np.ndarray, h: np.ndarray, beta0: float, beta1: float):
-    """One block's objective with the row-sparsity term majorized by h.
+    """One block's objective with the row-sparsity term majorized by h, fixed for a sweep.
 
-    This is the function the per-block gradient and line search act on; h
-    stays fixed for a whole sweep.  Given an (M, b, s) stack and (M, b, b)
-    scores, returns the M block values.
+    The gradient and line search act on it.  Given an (M, b, s) stack and
+    (M, b, b) scores, returns the M block values.
     """
-    return _block_terms(block, r, beta1) + beta0 * _total(h[:, None] * block * block)
+    at = _iterate(block, r, beta0, beta1)
+    return at.terms + beta0 * (h[:, None] * at.sq).sum(axis=(-2, -1))
+
+
+def _gradient(at: _Iterate, h: np.ndarray, beta0: float, beta1: float) -> np.ndarray:
+    s, sq = at.blocks, at.sq
+    linear = at.rs + beta0 * (h[:, None] * s)
+    linear += beta1 * (2.0 * (s @ at.gram) - s)
+    return 2.0 * (linear + beta1 * (2.0 * sq * s - 3.0 * sq))
 
 
 def gradient(block: np.ndarray, r: np.ndarray, h: np.ndarray, beta0: float, beta1: float) -> np.ndarray:
     """Gradient of :func:`surrogate` with respect to the block (or each block of a stack)."""
-    sq = block * block
-    linear = r @ block + beta0 * (h[:, None] * block)
-    linear += beta1 * (2.0 * (block @ _gram(block)) - block)
-    return 2.0 * (linear + beta1 * (2.0 * sq * block - 3.0 * sq))
+    return _gradient(_iterate(block, r, beta0, beta1), h, beta0, beta1)
+
+
+def _quartic(at: _Iterate, d: np.ndarray, rd: np.ndarray, h: np.ndarray, beta0: float, beta1: float):
+    s, hb, size = at.blocks, beta0 * h[:, None], d.shape[-2] * d.shape[-1]
+    sd = s.swapaxes(-1, -2) @ d
+    p, q, e = at.sq - s, (2.0 * s - 1.0) * d, d * d
+    rows = np.array([s, d, p, q, e, at.rs + hb * s, rd + hb * d]).reshape(7, -1, size).swapaxes(0, 1)
+    g = rows[:, :5] @ rows[:, 2:].swapaxes(-1, -2)  # S, D, P, Q, E against P, Q, E, U, V
+    z = np.array([at.gram - np.eye(s.shape[-1]), sd + sd.swapaxes(-1, -2), d.swapaxes(-1, -2) @ d])
+    z = z.reshape(3, -1, s.shape[-1] ** 2).swapaxes(0, 1)
+    # each term is a product of two polynomials in t; its coefficients are antidiagonal sums
+    terms = beta1 * (g[:, 2:, :3] + z @ z.swapaxes(-1, -2))
+    terms[:, :2, :2] += g[:, :2, 3:]
+    return (terms.reshape(-1, 9) @ _ANTIDIAGONALS).reshape(s.shape[:-2] + (5,))
 
 
 def line_quartic(block, direction, r, h, beta0: float, beta1: float) -> np.ndarray:
@@ -128,47 +150,45 @@ def line_quartic(block, direction, r, h, beta0: float, beta1: float) -> np.ndarr
     (M, 5) array.  With P = S*S - S, Q = (2S - 1)*D, E = D*D (elementwise)
     the binary penalty along the line is sum (P + tQ + t^2 E)^2, and with
     A = S'S - I, B = S'D + D'S, C = D'D the orthogonality penalty is
-    ||A + tB + t^2 C||^2; the score and coupling terms are quadratic in t.
+    ||A + tB + t^2 C||^2; the rest is <S + tD, U + tV>, U = RS + beta0 h*S,
+    V = RD + beta0 h*D.  Two batched Gram products give every coefficient.
     """
-    s, d = block, direction
-    rs, rd = r @ s, r @ d
-    hb = beta0 * h[:, None]
-    p, q, e = s * s - s, (2.0 * s - 1.0) * d, d * d
-    a = _gram(s) - np.eye(s.shape[-1])
-    sd = np.swapaxes(s, -1, -2) @ d
-    cross = sd + np.swapaxes(sd, -1, -2)
-    dd = _gram(d)
-    c0 = _total(s * rs + hb * s * s + beta1 * p * p) + beta1 * _total(a * a)
-    c1 = _total(d * rs + s * rd + 2.0 * hb * s * d + 2.0 * beta1 * p * q) + 2.0 * beta1 * _total(a * cross)
-    c2 = _total(d * rd + hb * e + beta1 * (q * q + 2.0 * p * e)) + beta1 * _total(cross * cross + 2.0 * a * dd)
-    c3 = 2.0 * beta1 * (_total(q * e) + _total(cross * dd))
-    c4 = beta1 * (_total(e * e) + _total(dd * dd))
-    return np.stack([c0, c1, c2, c3, c4], axis=-1)
+    return _quartic(_iterate(block, r, beta0, beta1), direction, r @ direction, h, beta0, beta1)
 
 
 def exact_step(coefficients) -> np.ndarray:
     """The step t >= 0 minimizing c0 + c1 t + c2 t^2 + c3 t^3 + c4 t^4.
 
-    ``coefficients`` holds c0..c4 along its last axis, one polynomial per
-    leading index.  The minimizer over t >= 0 is 0 or a real root of the
-    cubic derivative, read off as an eigenvalue of its companion matrix.
-    Where c4 = 0 (no penalty, or a zero direction) c3 is 0 as well for the
-    surrogate, and the only root is the vertex -c1 / (2 c2).  Each root is
-    clipped to t >= 0 and the candidate of lowest value wins, with ties
-    going to t = 0, so a zero or ascent direction gives 0.
+    ``coefficients`` holds c0..c4 (all finite) along its last axis, one
+    polynomial per leading index, each solved in floats (numpy's per-call
+    cost would dwarf a cubic's).  The minimizer is 0 or a real root of the
+    cubic derivative, in the trigonometric or Cardano form of Numerical
+    Recipes, sec. 5.6, polished by one Newton step; where c4 = 0 (no
+    penalty, or a zero direction) c3 = 0 too, and the only root is the
+    vertex -c1 / (2 c2).  Roots are clipped to t >= 0 and the lowest value
+    wins, ties going to t = 0, so a zero or ascent direction gives 0.
     """
     c = np.asarray(coefficients, dtype=float)
-    c1, c2, c3, c4 = (c[..., k, None] for k in range(1, 5))
-    cubic = c4 > 0.0
-    lead = np.where(cubic, 4.0 * c4, 1.0)
-    companion = np.zeros(c.shape[:-1] + (3, 3))
-    companion[..., 0, :] = np.concatenate([-3.0 * c3, -2.0 * c2, -c1], axis=-1) / lead
-    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-    vertex = -c1 / (2.0 * np.where(c2 > 0.0, c2, np.inf))
-    roots = np.where(cubic, np.linalg.eigvals(companion).real, vertex)
-    t = np.concatenate([np.zeros_like(c1), np.maximum(roots, 0.0)], axis=-1)
-    gain = t * (c1 + t * (c2 + t * (c3 + t * c4)))
-    return np.take_along_axis(t, np.argmin(gain, axis=-1)[..., None], axis=-1)[..., 0]
+    if not np.isfinite(c).all():
+        bad = np.flatnonzero(~np.isfinite(c).reshape(-1, c.shape[-1]).all(axis=0))
+        raise ValueError("line coefficients must be finite; not so for " + ", ".join(f"c{k}" for k in bad))
+    steps = []
+    for _, c1, c2, c3, c4 in c.reshape(-1, c.shape[-1]).tolist():
+        roots = [-c1 / (2.0 * c2) if c2 > 0.0 else 0.0]
+        if c4 > 0.0:  # the derivative over its lead is t^3 + a t^2 + b t + e
+            a, b, e = 0.75 * c3 / c4, 0.5 * c2 / c4, 0.25 * c1 / c4
+            q, r = (a * a - 3.0 * b) / 9.0, (a * (2.0 * a * a - 9.0 * b) + 27.0 * e) / 54.0
+            if r * r < q * q * q:  # three real roots
+                theta = math.atan2(math.sqrt(q * q * q - r * r), r)
+                roots = [-2.0 * math.sqrt(q) * math.cos((theta + k * math.pi) / 3.0) - a / 3.0 for k in (0, 2, -2)]
+            else:
+                big = -math.copysign((abs(r) + math.sqrt(r * r - q * q * q)) ** (1.0 / 3.0), r)
+                roots = [big + (q / big if big else 0.0) - a / 3.0]
+            slopes = [(3.0 * t + 2.0 * a) * t + b for t in roots]
+            roots = [t - (((t + a) * t + b) * t + e) / slope if slope else t for t, slope in zip(roots, slopes)]
+        clipped = [max(t, 0.0) for t in roots]
+        steps.append(min([(0.0, 0.0)] + [(t * (c1 + t * (c2 + t * (c3 + t * c4))), t) for t in clipped])[1])
+    return np.array(steps).reshape(c.shape[:-1])
 
 
 def _check_size(s) -> None:
@@ -180,13 +200,15 @@ def _check_size(s) -> None:
 
 
 def extract_curriculum(blocks, s: int) -> np.ndarray:
-    """The curriculum: the ``min(s, b)`` rows of largest 2-norm in the stacked matrix.
+    """Candidate-pool positions of the ``min(s, b)`` largest stacked rows, by 2-norm.
 
-    Returns their positions in the candidate pool, in rank order; ties go
-    to the lower position.  ``s`` is a positive integer.
+    In rank order, ties going to the lower position; ``s`` is a positive integer.
     """
     _check_size(s)
-    norms = np.linalg.norm(np.hstack(blocks), axis=1)
+    return _largest(np.linalg.norm(np.hstack(blocks), axis=1), s)
+
+
+def _largest(norms: np.ndarray, s: int) -> np.ndarray:
     return np.argsort(-norms, kind="stable")[:s]
 
 
@@ -195,10 +217,10 @@ def easiest_start(r_list, s: int) -> np.ndarray:
 
     For a 0/1 block with orthonormal columns both penalties vanish and
     tr(S'RS) is the sum of R's diagonal over the picked rows, so this is
-    each teacher's best selection on its own; the solve then weighs it
-    against the row coupling.  Ties go to the lower candidate position.
-    Returns the blocks as one (M, b, min(s, b)) stack.
+    each teacher's best selection on its own, ties going to the lower
+    position.  ``s`` is a positive integer.  Returns an (M, b, min(s, b)) stack.
     """
+    _check_size(s)
     diagonals = np.array([np.diag(r) for r in r_list])
     teachers, b = diagonals.shape
     picked = np.argsort(diagonals, axis=1, kind="stable")[:, : min(s, b)]
@@ -211,11 +233,9 @@ def easiest_start(r_list, s: int) -> np.ndarray:
 class TeachingSolution:
     """Outcome of one joint curriculum optimization.
 
-    ``curriculum`` holds the ``min(s, b)`` candidate-pool positions of
-    largest stacked row norm, in rank order.  The objective trace has one
-    entry per sweep plus the starting value.  ``moved`` tells whether the
-    curriculum differs, as a set, from the one the solve's start (``init``
-    or :func:`easiest_start`) reads as.
+    ``curriculum`` is as :func:`extract_curriculum` reads the final blocks.
+    The objective trace has one entry per sweep plus the starting value.
+    ``moved``: the curriculum differs, as a set, from the start's.
     """
 
     blocks: tuple
@@ -231,17 +251,14 @@ def bcd_solve(r_list, beta0: float, beta1: float, s: int, *, init=None) -> Teach
     Each sweep refreshes the row-norm weights from the current stacked
     matrix, then moves every block along its negative gradient by the
     exact minimizer of its quartic :func:`surrogate` along that line (the
-    blocks are independent given the weights, so all move at once).  The
-    step is positive only where the quartic predicts a strict decrease.
-    Stops when the stacked matrix moves less than ``EPSILON`` in Frobenius
-    norm, or when a sweep would still raise the full objective through
-    majorization slack or rounding (that sweep is discarded; both count as
-    converged), or after ``SWEEP_CAP`` sweeps.
-
-    The solve starts from ``init``, an (M, b, s) stack or a sequence of
-    (b, s) blocks, when given, and from :func:`easiest_start` otherwise.
-    ``s`` is a positive integer, clamped to the pool size b > 0.  Negative
-    weights and a starting objective that is not finite are refused.
+    blocks are independent given the weights, so all move at once).  Stops
+    when the stack moves less than ``EPSILON`` (Frobenius), or when a sweep
+    would raise the full objective through majorization slack or rounding
+    (that sweep is discarded; both count as converged), or after
+    ``SWEEP_CAP`` sweeps.  Starts from ``init`` (an (M, b, s) stack or (b, s)
+    blocks) if given, else from :func:`easiest_start`.  ``s`` is a positive
+    integer, clamped to the pool size b > 0.  Negative weights and a
+    starting objective that is not finite are refused.
     """
     r = _scores(r_list)
     _check_size(s)
@@ -253,32 +270,31 @@ def bcd_solve(r_list, beta0: float, beta1: float, s: int, *, init=None) -> Teach
     blocks = easiest_start(r, s) if init is None else _as_stack(init, r)[0].copy()
     if blocks.shape[2] != s:
         raise ValueError("init blocks must have s columns")
-    start = set(extract_curriculum(blocks, s).tolist())
-
-    trace = [objective(blocks, r, beta0, beta1)]
+    at = _iterate(blocks, r, beta0, beta1)
+    start = set(_largest(at.norms, s).tolist())
+    trace = [at.value]
     if not np.isfinite(trace[0]):
         raise ValueError("scores and weights must be finite")
     converged = False
     for _ in range(SWEEP_CAP):
-        h = l21_weight_matrix(np.hstack(blocks))
-        descent = -gradient(blocks, r, h, beta0, beta1)
-        step = exact_step(line_quartic(blocks, descent, r, h, beta0, beta1))
-        candidate = blocks + step[:, None, None] * descent
-        value = _value(candidate, r, beta0, beta1)
-        if value > trace[-1]:
+        h = _row_weights(at.norms)
+        descent = -_gradient(at, h, beta0, beta1)
+        step = exact_step(_quartic(at, descent, r @ descent, h, beta0, beta1))
+        candidate = _iterate(at.blocks + step[:, None, None] * descent, r, beta0, beta1)
+        if candidate.value > trace[-1]:
             # The one descent guard: ZETA's majorization slack and rounding can
             # lift the full objective by ~1e-14; stop rather than record a rise.
             converged = True
             break
-        shift = float(np.sqrt(np.sum((candidate - blocks) ** 2)))
-        blocks = candidate
-        trace.append(value)
+        shift = float(np.sqrt(np.sum((candidate.blocks - at.blocks) ** 2)))
+        at = candidate
+        trace.append(at.value)
         if shift < EPSILON:
             converged = True
             break
 
-    if blocks.min() < -0.5 or blocks.max() > 1.5:
+    if at.blocks.min() < -0.5 or at.blocks.max() > 1.5:
         warnings.warn("selection entries drifted outside [-0.5, 1.5]")
-    curriculum = extract_curriculum(blocks, s)
+    curriculum = _largest(at.norms, s)
     moved = set(curriculum.tolist()) != start
-    return TeachingSolution(tuple(blocks), curriculum, np.asarray(trace), converged, moved)
+    return TeachingSolution(tuple(at.blocks), curriculum, np.asarray(trace), converged, moved)

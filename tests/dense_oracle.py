@@ -11,8 +11,11 @@ sparse API.
 The spectral section holds the teachers' old quantities, read off the
 Laplacian's eigendecomposition: the pseudoinverse, its diagonal, the
 commute table, the class-mean gap and the GP prior.  The library computes
-them from two Cholesky-based inverses instead.  The last section is the GP
-conditional covariance as a Schur complement of the dense prior.
+them from two Cholesky-based inverses instead.  Next is the GP conditional
+covariance as a Schur complement of the dense prior.  The last section is
+the selection solve's former line search: the quartic's coefficients summed
+elementwise, and the step read off the eigenvalues of the cubic
+derivative's companion matrix.
 """
 
 from __future__ import annotations
@@ -214,3 +217,49 @@ def schur_oracle(laplacian: np.ndarray, kappa2: float, candidates, anchors) -> n
     sig_ll = sigma[np.ix_(anchors, anchors)]
     conditional = sig_bb - sig_bl @ np.linalg.solve(sig_ll, sig_bl.T)
     return 0.5 * (conditional + conditional.T)
+
+
+def line_quartic(block, direction, r, h, beta0: float, beta1: float) -> np.ndarray:
+    """Coefficients c0..c4 of the surrogate along ``block + t * direction``, one elementwise sum each.
+
+    With P = S*S - S, Q = (2S - 1)*D, E = D*D, A = S'S - I, B = S'D + D'S
+    and C = D'D; one (b, s) block gives 5 values, an (M, b, s) stack (M, 5).
+    """
+    def total(x):
+        return np.sum(x, axis=(-2, -1))
+
+    s, d = block, direction
+    rs, rd = r @ s, r @ d
+    hb = beta0 * h[:, None]
+    p, q, e = s * s - s, (2.0 * s - 1.0) * d, d * d
+    a = np.swapaxes(s, -1, -2) @ s - np.eye(s.shape[-1])
+    sd = np.swapaxes(s, -1, -2) @ d
+    cross = sd + np.swapaxes(sd, -1, -2)
+    dd = np.swapaxes(d, -1, -2) @ d
+    c0 = total(s * rs + hb * s * s + beta1 * p * p) + beta1 * total(a * a)
+    c1 = total(d * rs + s * rd + 2.0 * hb * s * d + 2.0 * beta1 * p * q) + 2.0 * beta1 * total(a * cross)
+    c2 = total(d * rd + hb * e + beta1 * (q * q + 2.0 * p * e)) + beta1 * total(cross * cross + 2.0 * a * dd)
+    c3 = 2.0 * beta1 * (total(q * e) + total(cross * dd))
+    c4 = beta1 * (total(e * e) + total(dd * dd))
+    return np.stack([c0, c1, c2, c3, c4], axis=-1)
+
+
+def exact_step(coefficients) -> np.ndarray:
+    """The step t >= 0 minimizing c0 + c1 t + ... + c4 t^4, from the cubic derivative's companion matrix.
+
+    The real parts of the companion's eigenvalues (or the vertex -c1 / (2 c2)
+    where c4 = 0) are clipped to t >= 0; the candidate of lowest value wins,
+    ties going to t = 0.
+    """
+    c = np.asarray(coefficients, dtype=float)
+    c1, c2, c3, c4 = (c[..., k, None] for k in range(1, 5))
+    cubic = c4 > 0.0
+    lead = np.where(cubic, 4.0 * c4, 1.0)
+    companion = np.zeros(c.shape[:-1] + (3, 3))
+    companion[..., 0, :] = np.concatenate([-3.0 * c3, -2.0 * c2, -c1], axis=-1) / lead
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    vertex = -c1 / (2.0 * np.where(c2 > 0.0, c2, np.inf))
+    roots = np.where(cubic, np.linalg.eigvals(companion).real, vertex)
+    t = np.concatenate([np.zeros_like(c1), np.maximum(roots, 0.0)], axis=-1)
+    gain = t * (c1 + t * (c2 + t * (c3 + t * c4)))
+    return np.take_along_axis(t, np.argmin(gain, axis=-1)[..., None], axis=-1)[..., 0]

@@ -573,26 +573,30 @@ def test_trace_csv_files(tmp_path):
     round_lines = rounds_path.read_text().strip().splitlines()
     assert len(round_lines) == len(result.rounds)
     assert round_lines[0].split(",")[0] == "1"
-    # the sixth and seventh columns record whether each round's solve
-    # converged and whether it moved, and are empty for a round that taught
-    # its whole pool without a solve
-    assert all(len(line.split(",")) == 7 for line in round_lines)
+    # the sixth to eighth columns record whether each round's solve converged,
+    # whether it moved and how long it took, and are empty for a round that
+    # taught its whole pool without a solve
+    assert all(len(line.split(",")) == 8 for line in round_lines)
     assert [line.split(",")[5] for line in round_lines] == [
         "" if r.converged is None else str(int(r.converged)) for r in result.rounds]
     assert [line.split(",")[6] for line in round_lines] == [
         "" if r.moved is None else str(int(r.moved)) for r in result.rounds]
+    assert [line.split(",")[7] for line in round_lines] == [
+        "" if r.solve_seconds is None else repr(r.solve_seconds) for r in result.rounds]
     assert any(r.converged is not None for r in result.rounds)
     assert all((r.converged is None) == (r.size == r.pool_size) for r in result.rounds)
+    assert all((r.solve_seconds is None) == (r.converged is None) for r in result.rounds)
+    assert all(0.0 < r.solve_seconds <= r.seconds for r in result.rounds if r.solve_seconds is not None)
     trace_lines = trace_path.read_text().strip().splitlines()
     assert len(trace_lines) == sum(len(r.objective) for r in result.rounds)
     # Q column parses as float and starts each round at iteration 0
     first = trace_lines[0].split(",")
     assert first[1] == "0" and float(first[2]) > 0.0
-    # rounds without a solve leave the converged and moved columns empty
+    # rounds without a solve leave the converged, moved and solve-time columns empty
     untaught = run_baseline(dataset, labeled_idx, config, "hybrid-no-teaching")
-    assert all(r.converged is None for r in untaught.rounds)
+    assert all(r.converged is None and r.solve_seconds is None for r in untaught.rounds)
     write_rounds_csv(untaught, rounds_path)
-    assert all(line.split(",")[5:] == ["", ""] for line in rounds_path.read_text().splitlines())
+    assert all(line.split(",")[5:] == ["", "", ""] for line in rounds_path.read_text().splitlines())
 
 
 def test_paired_t_test_hand_worked_example():

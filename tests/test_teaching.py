@@ -3,9 +3,11 @@
 Oracles used here:
   * a second, independently written evaluation of the objective,
   * central finite differences for the gradient,
-  * direct surrogate evaluation for the quartic line coefficients, and a
-    dense step grid plus the Wolfe search the solver used before the exact
-    step, for the step itself,
+  * direct surrogate evaluation and the former elementwise sums
+    (``dense_oracle.line_quartic``) for the quartic line coefficients, and a
+    dense step grid, the Wolfe search the solver used before the exact step
+    and the former companion-matrix step (``dense_oracle.exact_step``) for
+    the step itself,
   * a dense grid search for the 2-variable solver instance,
   * the solver's former loop, which also kept a block's step only if its
     directly evaluated surrogate did not rise, for the solver itself,
@@ -19,6 +21,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dense_oracle
 import hydent.run
 import hydent.teaching
 from hydent.data import SplitSpec, split, synth_noisy_gaussian
@@ -504,6 +507,16 @@ def test_extract_curriculum_rejects_bad_sizes():
             extract_curriculum(blocks, s)
 
 
+def test_easiest_start_rejects_bad_sizes():
+    # -1 once returned a (1, 3, 2) stack through a negative slice, and 0 one with no columns
+    for s in (-1, 0):
+        with pytest.raises(ValueError, match="curriculum size must be positive"):
+            easiest_start([np.eye(3)], s)
+    for s in (2.5, True):
+        with pytest.raises(ValueError, match=rf"curriculum size must be an integer, got {re.escape(repr(s))}"):
+            easiest_start([np.eye(3)], s)
+
+
 def test_bcd_solve_rejects_an_empty_pool():
     # it once failed at blocks.min() with "zero-size array to reduction operation"
     with pytest.raises(ValueError, match="candidate pool is empty"):
@@ -518,7 +531,7 @@ def test_bcd_solve_rejects_negative_weights():
 
 
 def test_bcd_solve_rejects_non_finite_scores_and_weights():
-    # each would otherwise fail inside exact_step, on the companion matrix
+    # each would otherwise reach exact_step's refusal of non-finite line coefficients
     bad_scores = np.eye(3)
     bad_scores[0, 2] = bad_scores[2, 0] = np.nan
     for r, beta0, beta1 in ((bad_scores, 1.0, 1.0), (np.diag([1.0, np.inf, 2.0]), 1.0, 1.0),
@@ -627,3 +640,114 @@ def test_bcd_solve_never_evaluates_the_surrogate(monkeypatch):
     monkeypatch.setattr(hydent.teaching, "surrogate", refuse)
     _, r_list = random_instance(np.random.default_rng(23), b=8, s=2, m=2)
     assert bcd_solve(r_list, 10.0, 10.0, 2).objective_trace.size > 1
+
+
+def test_exact_step_refuses_non_finite_coefficients_by_name():
+    # the companion-matrix step once failed inside eigvals; the closed form would return 0
+    for k in range(5):
+        for bad in (np.nan, np.inf, -np.inf):
+            c = np.array([[1.0, -2.0, 1.0, 0.5, 0.25], [0.0, -1.0, 1.0, 0.0, 0.0]])
+            c[1, k] = bad
+            with pytest.raises(ValueError, match=rf"line coefficients must be finite; not so for c{k}$"):
+                exact_step(c)
+    c = np.array([np.nan, 1.0, np.inf, 1.0, 1.0])
+    with pytest.raises(ValueError, match="not so for c0, c2$"):
+        exact_step(c)
+
+
+def assert_same_step(got, want):
+    """Steps agree within 1e-12 relative, or are both 0."""
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    both_zero = (got == 0.0) & (want == 0.0)
+    np.testing.assert_array_less(np.abs(got - want)[~both_zero], 1e-12 * np.abs(want)[~both_zero])
+
+
+def quartic_with_derivative_roots(rng, roots, lead=None):
+    """c0..c4 whose derivative 4 c4 t^3 + 3 c3 t^2 + 2 c2 t + c1 has the given roots."""
+    c4 = lead if lead is not None else 10.0 ** rng.uniform(-2, 2)
+    derivative = 4.0 * c4 * np.poly(roots).real
+    return np.array([rng.normal(), derivative[3], derivative[2] / 2.0, derivative[1] / 3.0, c4])
+
+
+def test_exact_step_matches_the_companion_matrix_step():
+    rng = np.random.default_rng(24)
+    cases = []
+    for _ in range(300):
+        three = np.sort(rng.uniform(-3.0, 3.0, 3))
+        if np.min(np.diff(three)) > 0.2:
+            cases.append(quartic_with_derivative_roots(rng, three))
+        real, centre, width = rng.uniform(-3.0, 3.0, 3)
+        cases.append(quartic_with_derivative_roots(rng, [real, centre + 1j * abs(width), centre - 1j * abs(width)]))
+        double, simple = rng.uniform(-3.0, 3.0, 2)
+        if abs(double - simple) > 0.5:
+            cases.append(quartic_with_derivative_roots(rng, [double, double, simple]))
+        c1, c2 = rng.normal(size=2)
+        cases.append(np.array([rng.normal(), c1, abs(c2), 0.0, 0.0]))
+        cases.append(np.array([rng.normal(), c1, -abs(c2), 0.0, 0.0]))
+    cases.append(np.zeros(5))  # a zero direction
+    stacked = np.array(cases)
+    assert_same_step(exact_step(stacked), dense_oracle.exact_step(stacked))
+    kinds = (exact_step(stacked) > 0.0).sum(), (exact_step(stacked) == 0.0).sum()
+    assert min(kinds) > 100  # both interior steps and refusals are exercised
+    # the c4 = 0 rows: the vertex where c2 > 0, else no step
+    assert exact_step(np.array([0.0, -3.0, 2.0, 0.0, 0.0])) == 0.75
+    assert exact_step(np.array([0.0, -3.0, -2.0, 0.0, 0.0])) == 0.0
+    assert exact_step(np.array([0.0, -3.0, 0.0, 0.0, 0.0])) == 0.0
+
+
+def test_exact_step_matches_the_companion_matrix_step_on_protocol_lines():
+    posed = protocol_solves(1.0, 0) + protocol_solves(1.5, 3)
+    lines = []
+    real = hydent.teaching.exact_step
+
+    def spy(coefficients):
+        lines.append(np.array(coefficients))
+        return real(coefficients)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hydent.teaching, "exact_step", spy)
+        for r_list, beta0, beta1, s in posed:
+            bcd_solve(r_list, beta0, beta1, s)
+    lines = np.concatenate(lines)
+    assert len(lines) > 100
+    assert_same_step(exact_step(lines), dense_oracle.exact_step(lines))
+
+
+def test_line_quartic_matches_the_elementwise_sums():
+    rng = np.random.default_rng(25)
+    for m in (1, 2, 3):
+        for _ in range(10):
+            blocks, r, h, beta0, beta1 = random_stack(rng, m)
+            direction = rng.normal(size=blocks.shape)
+            for args in ((blocks, direction, r), (blocks[0], direction[0], r[0])):
+                np.testing.assert_allclose(line_quartic(*args, h, beta0, beta1),
+                                           dense_oracle.line_quartic(*args, h, beta0, beta1), rtol=1e-12)
+
+
+def test_bcd_solve_forms_each_iterate_once_and_solves_no_eigenproblem(monkeypatch):
+    # the sweep reads one state per iterate: R S, S'S, S*S, the row norms and
+    # the objective are formed once, when the start or a candidate is formed
+    def refuse(*args, **kwargs):
+        raise AssertionError("the line search called eigvals")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    formed = []
+    real = hydent.teaching._iterate
+
+    def spy(*args):
+        formed.append(real(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(hydent.teaching, "_iterate", spy)
+    # the protocol's solves, then one whose first candidate the descent guard
+    # refuses: the zero row's tiny step costs beta0 times its norm, which the
+    # majorization undercounts by ZETA's offset
+    posed = protocol_solves(1.5, 3) + [([np.array([[-5.0, 1.0], [1.0, 0.0]])], 10.0, 1.0, 1)]
+    assert len(posed) > 10
+    for r_list, beta0, beta1, s in posed:
+        formed.clear()
+        trace = bcd_solve(r_list, beta0, beta1, s).objective_trace
+        np.testing.assert_array_equal([at.value for at in formed[:trace.size]], trace)
+        refused = formed[trace.size:]
+        assert len(refused) <= 1 and all(at.value > trace[-1] for at in refused)
+    assert trace.size == 1 and len(refused) == 1
