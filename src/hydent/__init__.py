@@ -52,11 +52,7 @@ from .teaching import (
     bcd_solve,
     easiest_start,
     exact_step,
-    extract_curriculum,
     gradient,
-    l21_norm,
-    l21_weight_matrix,
-    line_quartic,
     objective,
     surrogate,
 )
@@ -81,7 +77,6 @@ __all__ = [
     "easiest_start",
     "evaluate",
     "exact_step",
-    "extract_curriculum",
     "feedback_value",
     "final_labels",
     "flap_style_weights",
@@ -90,9 +85,6 @@ __all__ = [
     "gradient",
     "init_labels",
     "knn_pattern",
-    "l21_norm",
-    "l21_weight_matrix",
-    "line_quartic",
     "load_csv",
     "make_teacher",
     "next_size",

@@ -29,11 +29,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import UNLABELED, Dataset
 from .feedback import feedback_value, next_size
 from .graph import _indices, assemble, flap_style_weights, gaussian_weights, knn_pattern
 from .propagate import final_labels, init_labels, propagate_round, steady_state
@@ -64,6 +64,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for setting in fields(self):
+            # a numpy scalar runs alike but would not serialize to JSON
+            if isinstance(getattr(self, setting.name), np.generic):
+                object.__setattr__(self, setting.name, getattr(self, setting.name).item())
         if isinstance(self.kernels, str):
             raise ValueError(f"kernels={self.kernels!r} is one string, not a sequence of kernel names; "
                              f"for one learner pass kernels=({self.kernels!r},)")
@@ -76,10 +80,10 @@ class RunConfig:
                 raise ValueError(f"unknown kernel {kernel!r}; choose from {KNOWN_KERNELS}")
             if kernel in self.kernels[:at]:
                 raise ValueError(f"kernel {kernel!r} is repeated; each learner kernel may appear once")
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
             raise ValueError(f"k must be an integer, got {self.k!r}")
-        # a numpy integer runs alike but would not serialize to JSON
-        object.__setattr__(self, "k", int(self.k))
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("sigma", "kappa2", "beta0", "beta1", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -139,10 +143,11 @@ class RunResult:
 
 
 def evaluate(predictions, truth, unlabeled_idx) -> float:
-    """Fraction of the given indices predicted correctly.
+    """Fraction of the given indices whose true class is known that are predicted correctly.
 
-    ``predictions`` and ``truth`` must have one entry per row.  An empty
-    index set counts as vacuously perfect.
+    ``predictions`` and ``truth`` must have one entry per row.  Indices
+    whose truth is ``UNLABELED`` are skipped; an index set with no known
+    truth counts as vacuously perfect.
     """
     predictions = np.asarray(predictions)
     truth = np.asarray(truth)
@@ -150,6 +155,7 @@ def evaluate(predictions, truth, unlabeled_idx) -> float:
         raise ValueError(f"{predictions.size} predictions for {truth.size} true labels; "
                          "evaluate needs one prediction per row of truth")
     unlabeled_idx = _indices(unlabeled_idx, "unlabeled", len(truth))
+    unlabeled_idx = unlabeled_idx[truth[unlabeled_idx] != UNLABELED]
     if unlabeled_idx.size == 0:
         return 1.0
     return float(np.mean(predictions[unlabeled_idx] == truth[unlabeled_idx]))

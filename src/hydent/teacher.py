@@ -95,6 +95,17 @@ def candidate_set(graph: LearnerGraph, anchored: np.ndarray) -> np.ndarray:
     return np.flatnonzero(frontier if frontier.any() else ~anchored)
 
 
+def _class_groups(labeled_by_class: Mapping[int, Sequence[int]], n: int) -> list:
+    """Each class's members as node indices in [0, n); a node listed twice, in one class or two, is refused."""
+    groups = [_indices(members, f"class {label}", n) for label, members in labeled_by_class.items()]
+    counts = np.bincount(np.concatenate([np.empty(0, dtype=int)] + groups), minlength=n)
+    repeated = np.flatnonzero(counts > 1)
+    if repeated.size:
+        raise ValueError(f"node {repeated[0]} is listed {counts[repeated[0]]} times in the class groups; "
+                         "each labeled node belongs to one class, once")
+    return groups
+
+
 def gap_matrix(
     teacher: TeacherState,
     candidates: Sequence[int],
@@ -106,7 +117,7 @@ def gap_matrix(
     commute times, floored at ``GAP_FLOOR``.  With fewer than two labeled
     classes there is nothing to discriminate between, so the penalty is
     disabled (all zeros) for this round.  Candidates and class members are
-    node indices in [0, n).
+    node indices in [0, n), and a node is a member of one class, once.
 
     The mean commute time from i to class c is
     L+_ii - 2 mean_{j in c} L+_ij + mean_{j in c} L+_jj; L+_ii is common to
@@ -115,8 +126,7 @@ def gap_matrix(
     """
     n = teacher.graph.n
     candidates = _indices(candidates, "candidate", n)
-    groups = [_indices(members, f"class {label}", n) for label, members in labeled_by_class.items()]
-    groups = [members for members in groups if members.size]
+    groups = [members for members in _class_groups(labeled_by_class, n) if members.size]
     if len(groups) < 2:
         return np.zeros((candidates.size, candidates.size))
     pinv = teacher.pinv
@@ -176,8 +186,8 @@ def teaching_matrix(
     prior block less W^T W over them, W brought up to these anchors first.
     With fewer than two nonempty classes the discriminability term is zero,
     so the result is the reliability block alone.  Candidates and class
-    members are node indices in [0, n); candidates must be distinct and
-    must not be anchored.
+    members are node indices in [0, n); a node is a member of one class,
+    once, and candidates must be distinct and must not be anchored.
     """
     n = teacher.graph.n
     candidates = _indices(candidates, "candidate", n)
@@ -185,8 +195,8 @@ def teaching_matrix(
     if repeated.size:
         raise ValueError(f"candidate {repeated[0]} is repeated; each candidate may appear once")
     anchored = np.zeros(n, dtype=bool)
-    for label, members in labeled_by_class.items():
-        anchored[_indices(members, f"class {label}", n)] = True
+    for members in _class_groups(labeled_by_class, n):
+        anchored[members] = True
     if anchored[candidates].any():
         raise ValueError("candidates must not overlap the anchors")
     # the gaps first, so that their gathers and the candidates' rows of W are never held at once

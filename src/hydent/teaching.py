@@ -10,14 +10,18 @@ orthogonal-column matrices.  The curriculum is the rows of largest stacked
 every teacher agrees is difficult.
 
 The solver holds the M blocks as one (M, b, s) array.  Each sweep refreshes
-the row-norm weights, which majorize the row-sparsity term and decouple the
-blocks, then moves every block along its negative gradient by the exact
-minimizing step: along a line each block's majorized objective is a quartic
-read off two Gram products, minimized at a closed-form root of its cubic
-derivative.  A sweep is kept only if it does not raise the full objective.
-An iterate's products are formed once, for the guard that admits it and the
-sweep that leaves it; :func:`objective`, :func:`surrogate`, :func:`gradient`
-and :func:`line_quartic` wrap the same kernels.
+the row-norm weights h = 1 / (2 ||row|| + ZETA), which majorize the
+row-sparsity term and decouple the blocks, then moves every block S along
+its negative gradient D by the exact minimizing step.  Along S + tD the
+binary penalty is sum (P + tQ + t^2 E)^2, with P = S*S - S, Q = (2S - 1)*D
+and E = D*D elementwise; the orthogonality penalty is ||A + tB + t^2 C||^2,
+with A = S'S - I, B = S'D + D'S and C = D'D; the rest is <S + tD, U + tV>,
+with U = RS + beta0 h*S and V = RD + beta0 h*D.  Two batched Gram products
+give this quartic's coefficients, and it is minimized at a closed-form root
+of its cubic derivative.  A sweep is kept only if it does not raise the full
+objective.  An iterate's products are formed once, for the guard that admits
+it and the sweep that leaves it; :func:`objective`, :func:`surrogate` and
+:func:`gradient` wrap the same kernels.
 
 Every 0/1 block with orthonormal columns zeroes both penalties.  With
 penalty weights large against the scores, the solve settles next to
@@ -41,19 +45,6 @@ SWEEP_CAP = 300  # sweeps a solve may take before it stops unconverged
 
 # Row 3i + j has a 1 in column i + j: a flattened 3 x 3 array times this sums its antidiagonals.
 _ANTIDIAGONALS = (np.add.outer(np.arange(3), np.arange(3)).reshape(9, 1) == np.arange(5)).astype(float)
-
-
-def l21_norm(matrix: np.ndarray) -> float:
-    """Sum of row 2-norms."""
-    return float(np.linalg.norm(matrix, axis=1).sum())
-
-
-def l21_weight_matrix(stacked: np.ndarray) -> np.ndarray:
-    """Diagonal h of the row-norm reweighting matrix, 1 / (2 ||row||_2 + ZETA).
-
-    tr(S' diag(h) S) is the row-sparsity term in the limit ZETA -> 0.
-    """
-    return _row_weights(np.linalg.norm(stacked, axis=1))
 
 
 def _row_weights(norms: np.ndarray) -> np.ndarray:
@@ -143,19 +134,6 @@ def _quartic(at: _Iterate, d: np.ndarray, rd: np.ndarray, h: np.ndarray, beta0: 
     return (terms.reshape(-1, 9) @ _ANTIDIAGONALS).reshape(s.shape[:-2] + (5,))
 
 
-def line_quartic(block, direction, r, h, beta0: float, beta1: float) -> np.ndarray:
-    """Coefficients c0..c4 of ``surrogate(block + t * direction)`` as a polynomial in t.
-
-    The coefficients run along the last axis; an (M, b, s) stack gives an
-    (M, 5) array.  With P = S*S - S, Q = (2S - 1)*D, E = D*D (elementwise)
-    the binary penalty along the line is sum (P + tQ + t^2 E)^2, and with
-    A = S'S - I, B = S'D + D'S, C = D'D the orthogonality penalty is
-    ||A + tB + t^2 C||^2; the rest is <S + tD, U + tV>, U = RS + beta0 h*S,
-    V = RD + beta0 h*D.  Two batched Gram products give every coefficient.
-    """
-    return _quartic(_iterate(block, r, beta0, beta1), direction, r @ direction, h, beta0, beta1)
-
-
 def exact_step(coefficients) -> np.ndarray:
     """The step t >= 0 minimizing c0 + c1 t + c2 t^2 + c3 t^3 + c4 t^4.
 
@@ -199,15 +177,6 @@ def _check_size(s) -> None:
         raise ValueError("curriculum size must be positive")
 
 
-def extract_curriculum(blocks, s: int) -> np.ndarray:
-    """Candidate-pool positions of the ``min(s, b)`` largest stacked rows, by 2-norm.
-
-    In rank order, ties going to the lower position; ``s`` is a positive integer.
-    """
-    _check_size(s)
-    return _largest(np.linalg.norm(np.hstack(blocks), axis=1), s)
-
-
 def _largest(norms: np.ndarray, s: int) -> np.ndarray:
     return np.argsort(-norms, kind="stable")[:s]
 
@@ -233,7 +202,9 @@ def easiest_start(r_list, s: int) -> np.ndarray:
 class TeachingSolution:
     """Outcome of one joint curriculum optimization.
 
-    ``curriculum`` is as :func:`extract_curriculum` reads the final blocks.
+    ``curriculum`` holds the candidate-pool positions of the min(s, b) rows
+    of the final blocks' stacked matrix with the largest 2-norm, in rank
+    order, ties going to the lower position.
     The objective trace has one entry per sweep plus the starting value.
     ``moved``: the curriculum differs, as a set, from the start's.
     """

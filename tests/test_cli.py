@@ -112,6 +112,13 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys):
         assert f"error: {flag[2:]} must be finite" in capsys.readouterr().err
 
 
+def test_run_rejects_a_negative_seed_by_name(tmp_path, capsys):
+    # numpy's generator once refused it with a bare "expected non-negative integer"
+    data = synth(tmp_path)
+    assert main(["run", "--data", str(data), "--k", "4", "--seed", "-1"]) == 1
+    assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 def test_run_unknown_variant_fails_cleanly(tmp_path, capsys):
     data = synth(tmp_path)
     code = main(["run", "--data", str(data), "--variant", "nonsense"])

@@ -21,7 +21,7 @@ import hydent.graph
 import hydent.run
 import hydent.teacher
 import hydent.teaching
-from hydent.data import Dataset, SplitSpec, split, synth_noisy_gaussian
+from hydent.data import UNLABELED, Dataset, SplitSpec, split, synth_noisy_gaussian
 from hydent.teacher import gap_matrix
 from hydent.run import (
     RunConfig,
@@ -48,6 +48,24 @@ def test_evaluate_counts_matches():
     assert evaluate(pred, truth, [1, 2, 3, 4]) == pytest.approx(0.5)
     assert evaluate(pred, truth, [0]) == 1.0
     assert evaluate(pred, truth, []) == 1.0
+
+
+def test_accuracy_skips_rows_whose_class_is_unknown():
+    # the run ignores truth, so the predictions match the fully labeled run's;
+    # the 50 unknown rows once all counted as errors, for an accuracy of 0.7020
+    dataset = synth_noisy_gaussian(100, 1.0, seed=3)
+    labeled_idx, unlabeled_idx = split(dataset, SplitSpec(1, seed=3))
+    labels = dataset.labels.copy()
+    labels[unlabeled_idx[:50]] = UNLABELED
+    partial = Dataset(dataset.features, labels, dataset.class_count)
+    full = run_baseline(dataset, labeled_idx, RunConfig(seed=3), "hydent")
+    result = run_baseline(partial, labeled_idx, RunConfig(seed=3), "hydent")
+    np.testing.assert_array_equal(result.predictions, full.predictions)
+    known = unlabeled_idx[50:]
+    assert result.accuracy == np.mean(full.predictions[known] == dataset.labels[known])
+    assert round(result.accuracy, 4) == 0.9392
+    # an index set with no known truth is vacuously perfect
+    assert evaluate(result.predictions, labels, unlabeled_idx[:50]) == 1.0
 
 
 def test_run_hydent_labels_everyone():
@@ -504,6 +522,23 @@ def test_config_rejects_a_k_that_is_not_an_integer():
     assert json.loads(result_to_json(result))["config"]["k"] == 4
 
 
+def test_config_stores_numpy_scalars_as_python_numbers():
+    # np.int64 and np.float32 ran, and then the JSON summary refused them
+    config = RunConfig(k=np.int64(4), sigma=np.float64(1.0), theta=np.float32(0.05), seed=np.int64(3))
+    assert [type(getattr(config, name)) for name in ("k", "sigma", "theta", "seed")] == [int, float, float, int]
+    dataset, labeled_idx, _, _ = small_problem()
+    summary = json.loads(result_to_json(run_baseline(dataset, labeled_idx, config, "hydent")))["config"]
+    assert summary["seed"] == 3 and summary["theta"] == float(np.float32(0.05))
+
+
+def test_config_rejects_a_seed_that_is_not_a_non_negative_integer():
+    # 2.5 and True were accepted, and -1 failed later in the split's numpy generator
+    for seed in (-1, 2.5, 3.0, True, "3", np.int64(-2)):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            RunConfig(seed=seed)
+    assert RunConfig(seed=0).seed == 0
+
+
 def test_config_rejects_a_bare_kernel_name():
     # iterated, "gaussian" would read as the kernels "g", "a", ...
     for name in ("gaussian", "flap"):
@@ -675,7 +710,8 @@ def test_round_moved_tells_whether_the_solve_left_its_start(monkeypatch):
     assert all((r.moved is None) == (r.converged is None) for r in result.rounds)
     expected = []
     for r_list, s, solution in solves:
-        easiest = hydent.teaching.extract_curriculum(hydent.teaching.easiest_start(r_list, s), s)
+        start = hydent.teaching.easiest_start(r_list, s)
+        easiest = hydent.teaching._largest(np.linalg.norm(np.hstack(start), axis=1), s)
         expected.append(set(solution.curriculum.tolist()) != set(easiest.tolist()))
     assert [r.moved for r in solved] == expected == [solution.moved for _, _, solution in solves]
     assert True in expected and False in expected

@@ -292,6 +292,11 @@ def test_scoring_rejects_a_repeated_candidate():
     # [2, 2] once gave a 2 x 2 block whose two rows were both node 2
     with pytest.raises(ValueError, match="candidate 2 is repeated"):
         teaching_matrix(make_teacher(chain_graph(5)), [1, 2, 3, 2], {0: [0], 1: [4]})
+    # a labeled node in two classes once entered both class means, and one listed twice weighed double
+    for by_class, node in (({0: [0, 4], 1: [4]}, 4), ({0: [0, 0], 1: [4]}, 0), ({0: [0, 4, 4]}, 4)):
+        for score in (teaching_matrix, gap_matrix):
+            with pytest.raises(ValueError, match=f"node {node} is listed 2 times in the class groups"):
+                score(make_teacher(chain_graph(5)), [2], by_class)
 
 
 @pytest.mark.parametrize("bad", [-1, 5])

@@ -10,7 +10,8 @@ Oracles used here:
     the step itself,
   * a dense grid search for the 2-variable solver instance,
   * the solver's former loop, which also kept a block's step only if its
-    directly evaluated surrogate did not rise, for the solver itself,
+    directly evaluated surrogate did not rise, and which reads the
+    curriculum off with its own argsort, for the solver itself,
   * hand-worked values for the extraction example.
 """
 
@@ -28,14 +29,14 @@ from hydent.data import SplitSpec, split, synth_noisy_gaussian
 from hydent.run import RunConfig, run_hydent
 from hydent.teaching import (
     TeachingSolution,
+    _iterate,
+    _largest,
+    _quartic,
+    _row_weights,
     bcd_solve,
     easiest_start,
     exact_step,
-    extract_curriculum,
     gradient,
-    l21_norm,
-    l21_weight_matrix,
-    line_quartic,
     objective,
     surrogate,
 )
@@ -65,14 +66,19 @@ def naive_objective(blocks, r_list, beta0, beta1):
     return total
 
 
-def test_l21_norm_hand_value():
-    m = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
-    assert l21_norm(m) == pytest.approx(6.0)
+def quartic(block, direction, r, h, beta0, beta1):
+    """Coefficients c0..c4 of the surrogate along ``block + t * direction``, as the solve forms them."""
+    return _quartic(_iterate(block, r, beta0, beta1), direction, r @ direction, h, beta0, beta1)
+
+
+def curriculum_of(blocks, s):
+    """The solve's read-off: positions of the ``min(s, b)`` largest stacked rows, by 2-norm."""
+    return _largest(np.linalg.norm(np.hstack(blocks), axis=1), s)
 
 
 def test_l21_weight_matrix_values():
     stacked = np.array([[0.0, 0.0], [0.3, 0.4]])
-    h = l21_weight_matrix(stacked)
+    h = _row_weights(np.linalg.norm(stacked, axis=1))
     assert h[0] == pytest.approx(1e8)  # 1 / (2 * 0 + zeta)
     assert h[1] == pytest.approx(1.0 / (1.0 + 1e-8))
 
@@ -81,10 +87,11 @@ def test_l21_weight_matrix_recovers_norm_in_limit(monkeypatch):
     monkeypatch.setattr(hydent.teaching, "ZETA", 1e-12)
     rng = np.random.default_rng(7)
     stacked = rng.random((6, 4))
-    h = l21_weight_matrix(stacked)
+    norms = np.linalg.norm(stacked, axis=1)
+    h = _row_weights(norms)
     via_h = np.trace(stacked.T @ (h[:, None] * stacked))
-    # tr(S^T H S) with H from S itself halves to the l2,1 norm
-    assert 2.0 * via_h == pytest.approx(l21_norm(stacked), abs=1e-6)
+    # tr(S^T H S) with H from S itself halves to the l2,1 norm, the sum of row 2-norms
+    assert 2.0 * via_h == pytest.approx(norms.sum(), abs=1e-6)
 
 
 def test_objective_all_zero_blocks():
@@ -202,7 +209,7 @@ def test_line_quartic_matches_direct_evaluation():
         for _ in range(5):
             blocks, r, h, beta0, beta1 = random_stack(rng, m)
             direction = rng.normal(size=blocks.shape)
-            coeffs = line_quartic(blocks, direction, r, h, beta0, beta1)
+            coeffs = quartic(blocks, direction, r, h, beta0, beta1)
             assert coeffs.shape == (m, 5)
             for t in steps:
                 direct = surrogate(blocks + t * direction, r, h, beta0, beta1)
@@ -218,7 +225,7 @@ def test_exact_step_beats_a_dense_grid_and_the_wolfe_search():
         for _ in range(5):
             blocks, r, h, beta0, beta1 = random_stack(rng, m)
             descent = -gradient(blocks, r, h, beta0, beta1)
-            steps = exact_step(line_quartic(blocks, descent, r, h, beta0, beta1))
+            steps = exact_step(quartic(blocks, descent, r, h, beta0, beta1))
             for k in range(m):
                 def value(x, k=k):
                     return surrogate(x, r[k], h, beta0, beta1)
@@ -235,24 +242,24 @@ def test_exact_step_beats_a_dense_grid_and_the_wolfe_search():
                 assert best <= min(value(blocks[k] + t * descent[k]) for t in grid) + slack
 
 
-def test_wolfe_step_quadratic_exact():
+def test_exact_step_quadratic_exact():
     # x^2 from 1 along -2: the minimizing step is exactly 0.5
     x, d = np.array([[1.0]]), np.array([[-2.0]])
     r, h = np.array([[1.0]]), np.zeros(1)
-    tau = exact_step(line_quartic(x, d, r, h, 0.0, 0.0))
+    tau = exact_step(quartic(x, d, r, h, 0.0, 0.0))
     assert tau == 0.5
     assert surrogate(x + tau * d, r, h, 0.0, 0.0) < surrogate(x, r, h, 0.0, 0.0)
 
 
-def test_wolfe_step_zero_direction():
+def test_exact_step_zero_direction():
     r, h = np.eye(3), np.zeros(3)
     zeros, ones = np.zeros((3, 1)), np.ones((3, 1))
-    assert exact_step(line_quartic(zeros, zeros, r, h, 0.0, 0.0)) == 0.0
+    assert exact_step(quartic(zeros, zeros, r, h, 0.0, 0.0)) == 0.0
     # ascent direction is also refused
-    assert exact_step(line_quartic(ones, ones, r, h, 0.0, 0.0)) == 0.0
+    assert exact_step(quartic(ones, ones, r, h, 0.0, 0.0)) == 0.0
 
 
-def test_wolfe_step_decreases_rosenbrock_like():
+def test_exact_step_decreases_rosenbrock_like():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(6, 6))
     Q = a @ a.T + 6 * np.eye(6)
@@ -260,7 +267,7 @@ def test_wolfe_step_decreases_rosenbrock_like():
     r, h = 0.5 * Q, np.zeros(6)
     x = rng.normal(size=(6, 1))
     d = -Q @ x
-    tau = exact_step(line_quartic(x, d, r, h, 0.0, 0.0))
+    tau = exact_step(quartic(x, d, r, h, 0.0, 0.0))
     assert tau > 0.0
     assert tau == pytest.approx(np.sum(d * d) / np.sum(d * (Q @ d)), rel=1e-12)
     assert surrogate(x + tau * d, r, h, 0.0, 0.0) < surrogate(x, r, h, 0.0, 0.0)
@@ -268,38 +275,38 @@ def test_wolfe_step_decreases_rosenbrock_like():
 
 def test_extract_curriculum_worked_example():
     blocks = [np.array([[0.9], [0.0], [0.4]]), np.array([[0.8], [0.0], [0.0]])]
-    np.testing.assert_array_equal(extract_curriculum(blocks, 2), [0, 2])
+    np.testing.assert_array_equal(curriculum_of(blocks, 2), [0, 2])
 
 
 def test_extract_curriculum_returns_min_s_b_rows():
     # near-zero and zero rows still fill the curriculum, last; s past the
     # pool size gives every row
     blocks = [np.array([[0.9], [0.0], [0.0005]])]
-    np.testing.assert_array_equal(extract_curriculum(blocks, 3), [0, 2, 1])
-    np.testing.assert_array_equal(extract_curriculum(blocks, 5), [0, 2, 1])
-    np.testing.assert_array_equal(extract_curriculum(blocks, 2), [0, 2])
+    np.testing.assert_array_equal(curriculum_of(blocks, 3), [0, 2, 1])
+    np.testing.assert_array_equal(curriculum_of(blocks, 5), [0, 2, 1])
+    np.testing.assert_array_equal(curriculum_of(blocks, 2), [0, 2])
 
 
 def test_extract_curriculum_prefers_larger_norm_to_more_entries():
     # row 0 has norm 0.5, row 1 two entries but norm 0.3 * sqrt(2) < 0.5
     blocks = [np.array([[0.5, 0.0], [0.3, 0.3], [0.0, 0.0]])]
-    np.testing.assert_array_equal(extract_curriculum(blocks, 2), [0, 1])
+    np.testing.assert_array_equal(curriculum_of(blocks, 2), [0, 1])
 
 
 def test_extract_curriculum_ranks_by_stacked_row_norm():
     # a picked row holding 1.0 outranks a row that drifted to two entries of
     # 0.002; equal norms go to the lower position
     blocks = [np.array([[1.0], [0.002], [0.0], [0.0]]), np.array([[0.0], [0.002], [0.0], [1.0]])]
-    np.testing.assert_array_equal(extract_curriculum(blocks, 1), [0])
-    np.testing.assert_array_equal(extract_curriculum(blocks, 4), [0, 3, 1, 2])
-    np.testing.assert_array_equal(extract_curriculum(np.stack(blocks), 2), [0, 3])
+    np.testing.assert_array_equal(curriculum_of(blocks, 1), [0])
+    np.testing.assert_array_equal(curriculum_of(blocks, 4), [0, 3, 1, 2])
+    np.testing.assert_array_equal(curriculum_of(np.stack(blocks), 2), [0, 3])
 
 
 def test_extract_curriculum_ranks_tiny_rows_by_norm_without_warning():
     blocks = [np.array([[1e-5], [3e-4]]), np.array([[2e-5], [1e-4]])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        positions = extract_curriculum(blocks, 1)
+        positions = curriculum_of(blocks, 1)
     np.testing.assert_array_equal(positions, [1])  # larger norm
 
 
@@ -415,7 +422,7 @@ def test_easiest_start_is_the_binary_optimum_for_identical_teachers():
                         best, best_rows = value, set(np.concatenate(picks).tolist())
                 start = easiest_start(r_list, s)
                 assert objective(start, r_list, beta0, beta1) == pytest.approx(best, rel=1e-12)
-                assert set(extract_curriculum(start, s).tolist()) == best_rows
+                assert set(curriculum_of(start, s).tolist()) == best_rows
 
 
 def test_bcd_solve_from_easiest_start_keeps_the_cheap_rows():
@@ -459,7 +466,7 @@ def test_bcd_solve_moved_compares_sets_not_order():
     r = np.diag([5.0, 0.2, 6.0, 0.1, 7.0])
     init = np.zeros((1, 5, 2))
     init[0, 3, 0] = init[0, 1, 1] = 1.0
-    np.testing.assert_array_equal(extract_curriculum(init, 2), [1, 3])
+    np.testing.assert_array_equal(curriculum_of(init, 2), [1, 3])
     sol = bcd_solve([r], 100.0, 100.0, 2, init=init)
     np.testing.assert_array_equal(sol.curriculum, [3, 1])
     assert not sol.moved
@@ -493,18 +500,6 @@ def test_bcd_solve_rejects_bad_sizes():
         with pytest.raises(ValueError, match=rf"curriculum size must be an integer, got {re.escape(repr(s))}"):
             bcd_solve([np.eye(3)], 1.0, 1.0, s)
     assert bcd_solve([np.eye(3)], 1.0, 1.0, np.int64(2)).curriculum.size == 2
-
-
-def test_extract_curriculum_rejects_bad_sizes():
-    # -1 once returned all but the last row through a negative slice, and 0 no row
-    blocks = [np.eye(3)]
-    with pytest.raises(ValueError, match="curriculum size must be positive"):
-        extract_curriculum(blocks, -1)
-    with pytest.raises(ValueError, match="curriculum size must be positive"):
-        extract_curriculum(blocks, 0)
-    for s in (2.5, True):
-        with pytest.raises(ValueError, match=rf"curriculum size must be an integer, got {re.escape(repr(s))}"):
-            extract_curriculum(blocks, s)
 
 
 def test_easiest_start_rejects_bad_sizes():
@@ -557,7 +552,7 @@ def two_guard_solve(r_list, beta0, beta1, s, init=None):
     for _ in range(300):
         h = 1.0 / (2.0 * np.linalg.norm(np.hstack(blocks), axis=1) + 1e-8)
         descent = -gradient(blocks, r, h, beta0, beta1)
-        step = exact_step(line_quartic(blocks, descent, r, h, beta0, beta1))
+        step = exact_step(quartic(blocks, descent, r, h, beta0, beta1))
         candidate = blocks + step[:, None, None] * descent
         keep = surrogate(candidate, r, h, beta0, beta1) <= surrogate(blocks, r, h, beta0, beta1)
         candidate = np.where(keep[:, None, None], candidate, blocks)
@@ -571,8 +566,11 @@ def two_guard_solve(r_list, beta0, beta1, s, init=None):
         if moved < 1e-4:
             converged = True
             break
-    curriculum = extract_curriculum(blocks, s)
-    moved = set(curriculum.tolist()) != set(extract_curriculum(start, s).tolist())
+    def read_off(x):
+        return np.argsort(-np.linalg.norm(np.hstack(x), axis=1), kind="stable")[:s]
+
+    curriculum = read_off(blocks)
+    moved = set(curriculum.tolist()) != set(read_off(start).tolist())
     return TeachingSolution(tuple(blocks), curriculum, np.asarray(trace), converged, moved)
 
 
@@ -720,7 +718,7 @@ def test_line_quartic_matches_the_elementwise_sums():
             blocks, r, h, beta0, beta1 = random_stack(rng, m)
             direction = rng.normal(size=blocks.shape)
             for args in ((blocks, direction, r), (blocks[0], direction[0], r[0])):
-                np.testing.assert_allclose(line_quartic(*args, h, beta0, beta1),
+                np.testing.assert_allclose(quartic(*args, h, beta0, beta1),
                                            dense_oracle.line_quartic(*args, h, beta0, beta1), rtol=1e-12)
 
 
